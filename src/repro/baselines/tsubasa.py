@@ -4,68 +4,31 @@ TSUBASA (Xu et al., SIGMOD '22) computes exact correlations for
 *arbitrary* query windows by aggregating basic-window sketches (Eq. 1).
 Applied to a sliding query it evaluates every (pair, window) cell at
 Θ(n_s) aggregation cost per cell and shares nothing across windows —
-the inefficiency the Dangoron paper targets. It consumes the exact same
-cached block-pair sketch and evaluation kernels as Dangoron, so the
-timing ratio between the two engines isolates the pruning contribution.
+the inefficiency the Dangoron paper targets. It runs on the exact same
+cached block-pair sketch, tile runner, window sweep and evaluator as
+Dangoron, with no jump rule, so the timing ratio between the two
+engines isolates the pruning contribution.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.dangoron import CELLS_SCHEMA, StatsAccumulators
-from repro.core.jumping import FrontierStats
-from repro.sketch import kernels
-from repro.sketch.pair_sketch import load_pair_payload, pair_tile_arrays
+from repro.core.dangoron import StatsAccumulators, run_tiles
+from repro.core.jumping import sweep
 from repro.tsio.validation import SlidingSpec
 
 
 def eval_tile_full(tile: dict, spec: SlidingSpec) -> pd.DataFrame:
     """Exact corr of every (pair, window) cell of one tile; thresholded.
 
-    Sweeps the sliding windows in order and calls the *same* per-window
-    evaluation kernel Dangoron uses (``kernels.eval_at_window``) with
-    every pair — the TSUBASA cost model: each query window is aggregated
-    from its n_s basic-window sketches, nothing is shared across windows
-    and nothing is pruned.
+    The window sweep Dangoron uses, with no jump rule: every pair is
+    evaluated at every window by the same evaluator
+    (``kernels.eval_at_window``) — the TSUBASA cost model: each query
+    window is aggregated from its n_s basic-window sketches, nothing is
+    shared across windows and nothing is pruned.
     """
-    pi, pj, rows = pair_tile_arrays(tile)
-    if rows.size == 0:
-        return pd.DataFrame({"i": [], "j": [], "w": [], "corr": []}).astype(
-            {"i": "int64", "j": "int64", "w": "int64", "corr": "float64"}
-        )
-    ni, nj = tile["means_i"].shape[0], tile["means_j"].shape[0]
-    mbar_i, ss_i = kernels.series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
-    mbar_j, ss_j = kernels.series_window_aggregates(tile["means_j"], tile["stds_j"], spec)
-    qmm2 = kernels.fuse_pair_terms(tile["q"], tile["means_i"], tile["means_j"])
-    pi_flat = np.repeat(np.arange(ni), nj)
-    pj_flat = np.tile(np.arange(nj), ni)
-    out_i, out_j, out_w, out_c = [], [], [], []
-    for w in range(spec.n_windows):
-        c = kernels.eval_at_window(
-            rows, w, qmm2, mbar_i, mbar_j, ss_i, ss_j, pi_flat, pj_flat, spec
-        )
-        keep = c >= spec.beta                              # NaN -> False
-        if keep.any():
-            out_i.append(tile["ids_i"][pi[keep]])
-            out_j.append(tile["ids_j"][pj[keep]])
-            out_w.append(np.full(int(keep.sum()), w, dtype=np.int64))
-            out_c.append(c[keep])
-    if not out_i:
-        return pd.DataFrame({"i": [], "j": [], "w": [], "corr": []}).astype(
-            {"i": "int64", "j": "int64", "w": "int64", "corr": "float64"}
-        )
-    return pd.DataFrame(
-        {
-            "i": np.concatenate(out_i),
-            "j": np.concatenate(out_j),
-            "w": np.concatenate(out_w),
-            "corr": np.concatenate(out_c),
-        }
-    )
+    return sweep(tile, spec).frame()
 
 
 def query(
@@ -74,25 +37,4 @@ def query(
     stats: StatsAccumulators | None = None,
 ) -> DataFrame:
     """Thresholded correlation-matrix sequence, TSUBASA-style (no pruning)."""
-
-    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        import time as _time
-
-        for pdf in it:
-            for row in pdf.itertuples(index=False):
-                tile = load_pair_payload(row.payload)
-                t0 = _time.perf_counter()
-                out = eval_tile_full(tile, spec)
-                if stats is not None:
-                    elapsed = _time.perf_counter() - t0
-                    _, _, rows = pair_tile_arrays(tile)
-                    n_cells = rows.size * spec.n_windows
-                    stats.add(
-                        FrontierStats(
-                            cells=n_cells, evals=n_cells, emitted=len(out)
-                        )
-                    )
-                    stats.add_work(elapsed)
-                yield out
-
-    return pair_sketch_df.mapInPandas(run, schema=CELLS_SCHEMA)
+    return run_tiles(pair_sketch_df, lambda tile: sweep(tile, spec), stats)

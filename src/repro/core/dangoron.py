@@ -2,9 +2,10 @@
 
 The engine is a DataFrame→DataFrame transformation over the cached
 block-pair sketch (see DESIGN.md § physical execution): Catalyst plans
-the scan of the sketch DataFrame, ``mapInPandas`` runs the frontier
-kernel per tile, and Spark accumulators collect the pruning counters
-(they materialise once an action runs on the returned DataFrame).
+the scan of the sketch DataFrame, ``run_tiles`` runs the frontier
+kernel per tile in ``mapInPandas``, and Spark accumulators collect the
+pruning counters (they materialise once an action runs on the returned
+DataFrame). TSUBASA runs through the same ``run_tiles``.
 
 A true JVM physical operator is out of scope in this container (no
 Scala toolchain; PySpark cannot register physical operators) — the
@@ -12,18 +13,20 @@ Arrow-kernel route is the standard production equivalent.
 """
 from __future__ import annotations
 
-from typing import Iterator
+import time
+from dataclasses import fields
+from typing import Callable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.jumping import MODES, frontier_query
+from repro.core.jumping import MODES, FrontierStats, TileResult, frontier_query
 from repro.sketch.pair_sketch import load_pair_payload
 from repro.tsio.validation import SlidingSpec
 
 CELLS_SCHEMA = "i long, j long, w long, corr double"
 
-_STAT_FIELDS = ("cells", "evals", "probes", "jumps", "jump_lengths", "emitted")
+_STAT_FIELDS = tuple(f.name for f in fields(FrontierStats))
 
 
 class StatsAccumulators:
@@ -59,6 +62,32 @@ class StatsAccumulators:
         return out
 
 
+def run_tiles(
+    pair_sketch_df: DataFrame,
+    kernel: Callable[[dict], TileResult],
+    stats: StatsAccumulators | None = None,
+) -> DataFrame:
+    """The one tile runner of the sweep engines.
+
+    Loads each block-pair payload in ``mapInPandas``, runs ``kernel`` on
+    it, adds the kernel's counters and seconds to ``stats`` and yields
+    the tile's edges as (i, j, w, corr) rows.
+    """
+
+    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in it:
+            for payload in pdf["payload"]:
+                tile = load_pair_payload(payload)
+                t0 = time.perf_counter()
+                res = kernel(tile)
+                if stats is not None:
+                    stats.add(res.stats)
+                    stats.add_work(time.perf_counter() - t0)
+                yield res.frame()
+
+    return pair_sketch_df.mapInPandas(run, schema=CELLS_SCHEMA)
+
+
 def query(
     pair_sketch_df: DataFrame,
     spec: SlidingSpec,
@@ -72,20 +101,4 @@ def query(
     """
     if mode not in MODES:
         raise ValueError(f"unknown bound mode {mode!r}; expected one of {MODES}")
-
-    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        import time as _time
-
-        for pdf in it:
-            for row in pdf.itertuples(index=False):
-                tile = load_pair_payload(row.payload)
-                t0 = _time.perf_counter()
-                res = frontier_query(tile, spec, mode)
-                if stats is not None:
-                    stats.add(res.stats)
-                    stats.add_work(_time.perf_counter() - t0)
-                yield pd.DataFrame(
-                    {"i": res.i, "j": res.j, "w": res.w, "corr": res.corr}
-                )
-
-    return pair_sketch_df.mapInPandas(run, schema=CELLS_SCHEMA)
+    return run_tiles(pair_sketch_df, lambda tile: frontier_query(tile, spec, mode), stats)

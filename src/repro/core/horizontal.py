@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.dangoron import CELLS_SCHEMA
+from repro.core.jumping import TileResult
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import load_pair_payload
 from repro.tsio.validation import SlidingSpec
@@ -40,36 +41,36 @@ def pivot_correlations(
     One row (x, w, c) per series x ≠ pivot and window w; undefined cells
     (zero variance) carry NaN and are treated as unprunable downstream.
     """
+    nw = spec.n_windows
 
     def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in it:
-            for row in pdf.itertuples(index=False):
-                tile = load_pair_payload(row.payload)
+            for payload in pdf["payload"]:
+                tile = load_pair_payload(payload)
                 for side, other in (("i", "j"), ("j", "i")):
                     ids_p = tile[f"ids_{side}"]
                     if pivot not in ids_p:
                         continue
                     lp = int(np.searchsorted(ids_p, pivot))
                     ids_o = tile[f"ids_{other}"]
-                    mb_p, ss_p = kernels.series_window_aggregates(
-                        tile[f"means_{side}"], tile[f"stds_{side}"], spec
-                    )
-                    mb_o, ss_o = kernels.series_window_aggregates(
-                        tile[f"means_{other}"], tile[f"stds_{other}"], spec
-                    )
                     q = tile["q"] if side == "i" else np.swapaxes(tile["q"], 0, 1)
-                    corr = kernels.eval_all_windows(
-                        q[lp : lp + 1],
-                        tile[f"means_{side}"][lp : lp + 1],
-                        tile[f"means_{other}"],
-                        mb_p[lp : lp + 1],
-                        mb_o,
-                        ss_p[lp : lp + 1],
-                        ss_o,
+                    # the 1 × n_other sub-tile of the pivot's row
+                    terms = kernels.tile_terms(
+                        {
+                            "means_i": tile[f"means_{side}"][lp : lp + 1],
+                            "stds_i": tile[f"stds_{side}"][lp : lp + 1],
+                            "means_j": tile[f"means_{other}"],
+                            "stds_j": tile[f"stds_{other}"],
+                            "q": q[lp : lp + 1],
+                        },
                         spec,
-                    )[0]                      # (n_other, W)
+                    )
+                    rows = np.arange(ids_o.size)
+                    corr = np.stack(
+                        [kernels.eval_at_window(terms, rows, w, spec) for w in range(nw)],
+                        axis=1,
+                    )                         # (n_other, W)
                     keep = ids_o != pivot
-                    nw = spec.n_windows
                     yield pd.DataFrame(
                         {
                             "x": np.repeat(ids_o[keep], nw),
@@ -111,37 +112,22 @@ def candidate_cells(pivot_df: DataFrame, beta: float) -> DataFrame:
 
 def _eval_candidates(
     cand: pd.DataFrame, tile: dict, spec: SlidingSpec
-) -> pd.DataFrame:
-    """Exact Eq.-1 evaluation of listed (i, j, w) cells of one tile."""
-    ids_i, ids_j = tile["ids_i"], tile["ids_j"]
-    li = np.searchsorted(ids_i, cand["i"].to_numpy())
-    lj = np.searchsorted(ids_j, cand["j"].to_numpy())
+) -> TileResult:
+    """Exact Eq.-1 evaluation of listed (i, j, w) cells of one tile (at least one)."""
+    i = cand["i"].to_numpy()
+    j = cand["j"].to_numpy()
     wins = cand["w"].to_numpy().astype(np.int64)
-    nj = len(ids_j)
-    n_bw = tile["q"].shape[2]
-    mb_i, ss_i = kernels.series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
-    mb_j, ss_j = kernels.series_window_aggregates(tile["means_j"], tile["stds_j"], spec)
-    q2 = tile["q"].reshape(-1, n_bw)
-    mm2 = np.einsum(
-        "ib,jb->ijb", tile["means_i"], tile["means_j"], optimize=True
-    ).reshape(-1, n_bw)
-    rows = li * nj + lj
-    ni_arr = np.arange(len(ids_i))
-    # eval_cells expects per-flat-pair local indices; build them directly.
-    pi_flat = np.repeat(ni_arr, nj)
-    pj_flat = np.tile(np.arange(nj), len(ids_i))
-    corr = kernels.eval_cells(
-        rows, wins, q2, mm2, mb_i, mb_j, ss_i, ss_j, pi_flat, pj_flat, spec
+    rows = np.searchsorted(tile["ids_i"], i) * len(tile["ids_j"]) + np.searchsorted(
+        tile["ids_j"], j
     )
+    terms = kernels.tile_terms(tile, spec)
+    # one evaluator call per window, over that window's candidates
+    corr = np.empty(rows.size)
+    order = np.argsort(wins, kind="stable")
+    for part in np.split(order, np.flatnonzero(np.diff(wins[order])) + 1):
+        corr[part] = kernels.eval_at_window(terms, rows[part], int(wins[part[0]]), spec)
     keep = corr >= spec.beta
-    return pd.DataFrame(
-        {
-            "i": cand["i"].to_numpy()[keep],
-            "j": cand["j"].to_numpy()[keep],
-            "w": wins[keep],
-            "corr": corr[keep],
-        }
-    )
+    return TileResult(i[keep], j[keep], wins[keep], corr[keep])
 
 
 def query(
@@ -177,11 +163,9 @@ def query(
 
     def cog(cand_pdf: pd.DataFrame, sk_pdf: pd.DataFrame) -> pd.DataFrame:
         if len(cand_pdf) == 0 or len(sk_pdf) == 0:
-            return pd.DataFrame(
-                {"i": [], "j": [], "w": [], "corr": []}
-            ).astype({"i": "int64", "j": "int64", "w": "int64", "corr": "float64"})
+            return TileResult().frame()
         tile = load_pair_payload(sk_pdf["payload"].iloc[0])
-        return _eval_candidates(cand_pdf, tile, spec)
+        return _eval_candidates(cand_pdf, tile, spec).frame()
 
     evaluated = (
         cand.groupBy("bi", "bj")

@@ -15,19 +15,23 @@ Fig. 2 of the paper:
 All pairs of the tile advance together ("frontier"), so each round is a
 handful of vectorized numpy ops; the total number of exact evaluations —
 the quantity the paper's pruning reduces — is counted and returned.
+
+``sweep`` is the one window loop of the sweep engines: TSUBASA runs it
+with no jump rule, Dangoron with the exact-ci or worst-case Eq.-2 rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
+import pandas as pd
 
 from repro.core import bounds
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import pair_tile_arrays
 from repro.tsio.validation import SlidingSpec
-
-MODES = ("exact-ci", "worst-case")
 
 
 @dataclass
@@ -42,65 +46,58 @@ class FrontierStats:
     emitted: int = 0        # cells ≥ β emitted
 
     def merge(self, other: "FrontierStats") -> None:
-        for f in ("cells", "evals", "probes", "jumps", "jump_lengths", "emitted"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+def _no_cells(dtype) -> Callable[[], np.ndarray]:
+    return lambda: np.empty(0, dtype=dtype)
 
 
 @dataclass
 class TileResult:
-    i: np.ndarray
-    j: np.ndarray
-    w: np.ndarray
-    corr: np.ndarray
+    """Emitted (i, j, w, corr ≥ β) cells of a tile, with global series ids."""
+
+    i: np.ndarray = field(default_factory=_no_cells(np.int64))
+    j: np.ndarray = field(default_factory=_no_cells(np.int64))
+    w: np.ndarray = field(default_factory=_no_cells(np.int64))
+    corr: np.ndarray = field(default_factory=_no_cells(np.float64))
     stats: FrontierStats = field(default_factory=FrontierStats)
 
+    def frame(self) -> pd.DataFrame:
+        """The edges as an (i, j, w, corr) frame, the engines' output rows."""
+        return pd.DataFrame({"i": self.i, "j": self.j, "w": self.w, "corr": self.corr})
 
-def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> TileResult:
-    """Run Dangoron over one block-pair sketch tile.
 
-    ``tile`` is a payload from ``pair_sketch.load_pair_payload``. Returns
-    the emitted (i, j, w, corr ≥ β) cells with global series ids and the
-    work counters.
+# A jump rule is built per tile as rule(tile, rows, spec) and returns
+# jump(c, w, kmax, pos, stats) -> k: for the defined below-β cells c at
+# window w of the pairs at positions pos, the next window offset
+# 1 ≤ k ≤ kmax + 1 (k = kmax + 1 finishes the pair).
+JumpRule = Callable[[dict, np.ndarray, SlidingSpec], Callable[..., np.ndarray]]
+
+
+def sweep(tile: dict, spec: SlidingSpec, rule: JumpRule | None = None) -> TileResult:
+    """Evaluate one block-pair tile window by window; the one window sweep.
+
+    Each window has a "wake bucket" of the pairs that must be exactly
+    evaluated there. Every engine sweeps the same W windows with the
+    same evaluator (``kernels.eval_at_window``), so their per-cell numpy
+    constants match and wall-clock ratios track cells evaluated; only
+    the jump ``rule`` differs. With no rule (TSUBASA) every pair is
+    re-queued for the next window as one array, so every cell is
+    evaluated; with a rule a below-β cell lands in a later bucket.
+
+    ``tile`` is a payload from ``pair_sketch.load_pair_payload``.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown bound mode {mode!r}; expected one of {MODES}")
-    n_s, m, w_total, beta = spec.n_s, spec.m, spec.n_windows, spec.beta
-
+    w_total, beta = spec.n_windows, spec.beta
     pi, pj, rows = pair_tile_arrays(tile)
     n_pairs = rows.size
     stats = FrontierStats(cells=n_pairs * w_total)
     if n_pairs == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return TileResult(empty, empty, empty, np.empty(0), stats)
+        return TileResult(stats=stats)
+    terms = kernels.tile_terms(tile, spec)
+    jump = None if rule is None else rule(tile, rows, spec)
 
-    means_i, stds_i = tile["means_i"], tile["stds_i"]
-    means_j, stds_j = tile["means_j"], tile["stds_j"]
-    q = tile["q"]
-    n_bw = q.shape[2]
-    mbar_i, ss_i = kernels.series_window_aggregates(means_i, stds_i, spec)
-    mbar_j, ss_j = kernels.series_window_aggregates(means_j, stds_j, spec)
-    qmm2 = kernels.fuse_pair_terms(q, means_i, means_j)
-    ni, nj = means_i.shape[0], means_j.shape[0]
-    pi_flat = np.repeat(np.arange(ni), nj)
-    pj_flat = np.tile(np.arange(nj), ni)
-
-    if mode == "exact-ci":
-        # Per-pair monotone slack prefixes G (Σ(1 − c_i)): O(pairs·n_bw),
-        # part of Dangoron's query cost (the baseline never needs them).
-        # Computed on the kept pair rows only and kept flat; probes index
-        # it directly so no rows are ever copied afterwards.
-        cb_rows = bounds.bw_correlations(q, stds_i, stds_j).reshape(-1, n_bw)[rows]
-        slack_width = n_bw + 1
-        slack2 = np.empty((rows.size, slack_width))
-        slack2[:, 0] = 0.0
-        np.cumsum(1.0 - cb_rows, axis=1, out=slack2[:, 1:])
-        slack_flat = slack2.reshape(-1)
-
-    # Sweep the windows in order; each window has a "wake bucket" of the
-    # pairs that must be exactly evaluated there (jump = land in a later
-    # bucket). Both engines loop over the same W windows with the same
-    # per-window kernel, so their per-cell numpy constants match and the
-    # wall-clock ratio tracks cells evaluated.
     buckets: list[list[np.ndarray]] = [[] for _ in range(w_total)]
     buckets[0].append(np.arange(n_pairs))
     out_i: list[np.ndarray] = []
@@ -113,10 +110,7 @@ def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> Til
         if not parts:
             continue
         act = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        c = kernels.eval_at_window(
-            rows[act], w, qmm2, mbar_i, mbar_j, ss_i, ss_j,
-            pi_flat, pj_flat, spec,
-        )
+        c = kernels.eval_at_window(terms, rows[act], w, spec)
         stats.evals += act.size
         emit = c >= beta  # NaN compares False: undefined cells emit nothing
         if emit.any():
@@ -127,22 +121,17 @@ def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> Til
             out_c.append(c[emit])
             stats.emitted += int(emit.sum())
 
+        if jump is None:
+            if w + 1 < w_total:
+                buckets[w + 1].append(act)
+            continue
         nxt = np.full(act.size, w + 1, dtype=np.int64)
         # Jump only from defined below-threshold cells; undefined ones
         # (zero-variance window) step by one — no bound can be anchored.
         jmp = (~emit) & ~np.isnan(c)
-        kmax_scalar = w_total - 1 - w
-        if jmp.any() and kmax_scalar >= 1:
-            cj = c[jmp]
-            kmax = np.full(cj.size, kmax_scalar, dtype=np.int64)
-            if mode == "worst-case":
-                k = bounds.worst_case_jump(cj, beta, m, n_s)
-                k = np.minimum(k, kmax + 1)  # kmax+1 ⇒ done
-                stats.probes += cj.size
-            else:
-                k = _binary_search_jump(
-                    cj, w, kmax, slack_flat, slack_width, act[jmp], spec, stats
-                )
+        kmax = w_total - 1 - w
+        if jmp.any() and kmax >= 1:
+            k = jump(c[jmp], w, kmax, act[jmp], stats)
             stats.jumps += int((k > 1).sum())
             stats.jump_lengths += int((k - 1).sum())
             nxt[jmp] = w + k
@@ -150,24 +139,65 @@ def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> Til
         for dest in np.unique(nxt[live]):
             buckets[dest].append(act[nxt == dest])
 
-    cat = lambda parts, dt: (
-        np.concatenate(parts) if parts else np.empty(0, dtype=dt)
-    )
+    if not out_i:
+        return TileResult(stats=stats)
     return TileResult(
-        cat(out_i, np.int64), cat(out_j, np.int64), cat(out_w, np.int64),
-        cat(out_c, np.float64), stats,
+        np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w),
+        np.concatenate(out_c), stats,
     )
+
+
+def _worst_case_rule(tile: dict, rows: np.ndarray, spec: SlidingSpec):
+    """Eq. 2 with every entering c_i at its floor −1: a closed-form jump."""
+
+    def jump(c, w, kmax, pos, stats):
+        stats.probes += c.size
+        k = bounds.worst_case_jump(c, spec.beta, spec.m, spec.n_s)
+        return np.minimum(k, kmax + 1)  # kmax+1 ⇒ done
+
+    return jump
+
+
+def _exact_ci_rule(tile: dict, rows: np.ndarray, spec: SlidingSpec):
+    """Eq. 2 with the pair's true entering c_i: binary search on G.
+
+    The per-pair slack prefixes G = Σ(1 − c_i) cost O(pairs·n_bw) per
+    tile, part of Dangoron's query cost (the baseline never needs them).
+    They cover the tile's kept pair rows only and are kept flat, so
+    probes index them directly and no rows are copied afterwards.
+    """
+    n_bw = tile["q"].shape[2]
+    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"])
+    slack = bounds.slack_prefix(c_bw.reshape(-1, n_bw)[rows])
+    return partial(_binary_search_jump, flat=slack.reshape(-1), width=n_bw + 1, spec=spec)
+
+
+_RULES = {"exact-ci": _exact_ci_rule, "worst-case": _worst_case_rule}
+MODES = tuple(_RULES)
+
+
+def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> TileResult:
+    """Run Dangoron over one block-pair sketch tile.
+
+    The window sweep with the Eq.-2 jump rule of ``mode``. Returns the
+    emitted (i, j, w, corr ≥ β) cells with global series ids and the
+    work counters.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown bound mode {mode!r}; expected one of {MODES}")
+    return sweep(tile, spec, _RULES[mode])
 
 
 def _binary_search_jump(
     c: np.ndarray,
     w: int,
-    kmax: np.ndarray,
+    kmax: int,
+    pair_pos: np.ndarray,
+    stats: FrontierStats,
+    *,
     flat: np.ndarray,
     width: int,
-    pair_pos: np.ndarray,
     spec: SlidingSpec,
-    stats: FrontierStats,
 ) -> np.ndarray:
     """Vectorized binary search for the smallest k ≥ 1 with UB(k) ≥ β.
 
@@ -195,7 +225,7 @@ def _binary_search_jump(
     # runs only for pairs that actually get to jump.
     need = np.flatnonzero(~reached(every, np.ones(n, dtype=np.int64)))
     if need.size:
-        hi0 = kmax[need]
+        hi0 = np.full(need.size, kmax, dtype=np.int64)
         fin = ~reached(need, hi0)  # bound stays below β to the end: done
         k_sel = np.empty(need.size, dtype=np.int64)
         k_sel[fin] = hi0[fin] + 1

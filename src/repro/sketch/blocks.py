@@ -26,7 +26,18 @@ BLOCK_SCHEMA = "block_id long, n long, payload binary"
 
 
 def make_bundle(ids: np.ndarray, xblk: np.ndarray, bw: int) -> bytes:
-    """Serialize one block of series into a bundle payload."""
+    """Serialize one block of series into a bundle payload.
+
+    Rejects NaN and inf values: either would silently turn every window
+    it touches into an undefined cell and drop that window's edges.
+    """
+    finite = np.isfinite(xblk)
+    if not finite.all():
+        s, t = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"series {int(ids[s])} has a non-finite value ({xblk[s, t]}) at t={int(t)}; "
+            "fill or drop it before packing"
+        )
     means, stds = kernels.bw_means_stds(xblk, bw)
     centred = kernels.bw_centered(xblk, bw)
     return pickle.dumps(
@@ -68,6 +79,9 @@ def pack_blocks_from_long(
     Series are assigned to blocks by ``series_id // block_size``;
     ``applyInPandas`` assembles each block's dense tile and serializes
     the bundle on the executors (no driver collect of the raw data).
+    Every series of a block must have exactly one row per timestep
+    0..L−1; a hole or a duplicate row fails the action that runs the
+    packing.
     """
     from pyspark.sql import functions as F
 
@@ -78,6 +92,21 @@ def pack_blocks_from_long(
         ids = pdf["series_id"].unique()
         ids.sort()
         length = int(pdf["t"].max()) + 1
+        dup = pdf.duplicated(["series_id", "t"])
+        if dup.any():
+            first = pdf.loc[dup.idxmax()]
+            raise ValueError(
+                f"series {int(first['series_id'])} has more than one row at "
+                f"t={int(first['t'])}; "
+                "deduplicate the long form before packing"
+            )
+        counts = pdf.groupby("series_id").size()
+        short = counts[counts != length]
+        if len(short):
+            raise ValueError(
+                f"series {int(short.index[0])} has {int(short.iloc[0])} of {length} timesteps; "
+                "synchronize the series (fill or drop missing rows) before packing"
+            )
         xblk = np.empty((len(ids), length), dtype=np.float64)
         pos = {s: k for k, s in enumerate(ids)}
         rowpos = pdf["series_id"].map(pos).to_numpy()

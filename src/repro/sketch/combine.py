@@ -18,8 +18,6 @@ from pyspark.sql import functions as F
 from repro.sketch.basic_window import with_mean_std
 from repro.tsio.validation import SlidingSpec
 
-CELLS_SCHEMA = "i long, j long, w long, corr double"
-
 
 def _explode_windows(df: DataFrame, spec: SlidingSpec) -> DataFrame:
     """Attach a ``w`` column: one output row per sliding window containing

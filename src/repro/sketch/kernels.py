@@ -3,12 +3,16 @@
 Everything here is deliberately *honest about algorithmic cost*: a query
 window is always aggregated from its n_s basic-window statistics (the
 TSUBASA evaluation model for ad-hoc windows), never from cross-window
-prefix sums. Both the TSUBASA baseline and Dangoron's landing
-evaluations share these kernels, so wall-clock differences between the
-engines reflect how many (pair, window) cells each evaluates — the
-quantity the paper's pruning reduces — not implementation asymmetry.
+prefix sums. ``tile_terms`` does a tile's setup once and
+``eval_at_window`` is the one Eq.-1 evaluator: TSUBASA, Dangoron's
+landings and horizontal pruning all call it, so wall-clock differences
+between the engines reflect how many (pair, window) cells each
+evaluates — the quantity the paper's pruning reduces — not
+implementation asymmetry.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -94,114 +98,63 @@ def series_window_aggregates(
     return mbar, ss
 
 
-def eval_all_windows(
-    q: np.ndarray,
-    means_i: np.ndarray,
-    means_j: np.ndarray,
-    mbar_i: np.ndarray,
-    mbar_j: np.ndarray,
-    ss_i: np.ndarray,
-    ss_j: np.ndarray,
-    spec: SlidingSpec,
-) -> np.ndarray:
-    """Exact Eq.-1 correlation of every (pair, window) cell of a block pair.
-
-    q: (ni, nj, n_bw) pairwise bw covariances; means_*: (n*, n_bw);
-    mbar_*/ss_*: (n*, W) from ``series_window_aggregates``.
-    Returns corr of shape (ni, nj, W); cells with a zero-variance side
-    are NaN (correlation undefined), mirroring ``np.corrcoef``.
-    """
-    n_s = spec.n_s
-    qsum = sliding_window_sums(q, spec)                       # (ni, nj, W)
-    mm = np.einsum("ib,jb->ijb", means_i, means_j, optimize=True)
-    mmsum = sliding_window_sums(mm, spec)                     # (ni, nj, W)
-    num = qsum + mmsum - n_s * mbar_i[:, None, :] * mbar_j[None, :, :]
-    den2 = ss_i[:, None, :] * ss_j[None, :, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(den2 > 0, num / np.sqrt(den2), np.nan)
-    return corr
-
-
 def fuse_pair_terms(q: np.ndarray, means_i: np.ndarray, means_j: np.ndarray) -> np.ndarray:
     """Per-pair fused sketch g_j = q_j + m_x[j]·m_y[j], flattened.
 
     Eq. 1's numerator is Σ_j g_j − n_s·M̄_x·M̄_y, so fusing once at tile
-    setup lets every window evaluation do a single gather+sum. Both
-    engines build and use this identically. Shape (ni·nj, n_bw).
+    setup lets every window evaluation do a single gather+sum. Shape
+    (ni·nj, n_bw).
     """
     g = np.einsum("ib,jb->ijb", means_i, means_j, optimize=True)
     g += q
     return g.reshape(-1, q.shape[2])
 
 
+@dataclass(frozen=True)
+class TileTerms:
+    """Everything ``eval_at_window`` reads, built once per tile."""
+
+    g: np.ndarray        # (ni·nj, n_bw) fused pair terms, row = pi·nj + pj
+    mbar_i: np.ndarray   # (ni, W) window means of the i side
+    ss_i: np.ndarray     # (ni, W) n_s × window variances of the i side
+    mbar_j: np.ndarray   # (nj, W)
+    ss_j: np.ndarray     # (nj, W)
+
+
+def tile_terms(tile: dict, spec: SlidingSpec) -> TileTerms:
+    """Per-tile setup of Eq.-1 evaluation: window aggregates and fused g.
+
+    ``tile`` needs ``means_i``, ``stds_i``, ``means_j``, ``stds_j`` and
+    the pairwise bw covariances ``q`` (ni, nj, n_bw).
+    """
+    mbar_i, ss_i = series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
+    mbar_j, ss_j = series_window_aggregates(tile["means_j"], tile["stds_j"], spec)
+    g = fuse_pair_terms(tile["q"], tile["means_i"], tile["means_j"])
+    return TileTerms(g, mbar_i, ss_i, mbar_j, ss_j)
+
+
 def eval_at_window(
-    rows: np.ndarray,
-    w: int,
-    qmm2: np.ndarray,
-    mbar_i: np.ndarray,
-    mbar_j: np.ndarray,
-    ss_i: np.ndarray,
-    ss_j: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    spec: SlidingSpec,
+    terms: TileTerms, rows: np.ndarray, w: int, spec: SlidingSpec
 ) -> np.ndarray:
-    """Exact Eq.-1 correlation of the listed pair rows at one window.
+    """Exact Eq.-1 correlation of the listed pair rows at window ``w``.
 
-    This is THE shared evaluation kernel of the sweep engines: the
-    TSUBASA baseline calls it with every pair row at every window,
-    Dangoron only with the rows its jump structure wakes at ``w``. Both
-    therefore pay the identical Θ(n_s)-per-cell aggregation cost and the
-    same numpy constants — the wall-clock ratio between the engines
-    measures pruning, not implementation skew.
+    The one Eq.-1 evaluator: the sweep calls it with every pair row at
+    every window (TSUBASA) or with the rows its jump rule wakes at ``w``
+    (Dangoron), and horizontal pruning with the pivot's rows and with
+    its surviving candidates. Every cell pays the same Θ(n_s) gather-sum
+    over the fused g, so engine wall-clock ratios measure pruning, not
+    implementation skew.
 
-    rows: (c,) flat (ni·nj) pair-row indices into the fused sketch from
-    ``fuse_pair_terms``; pi/pj: (ni·nj,) local series index per flat row.
+    rows: (c,) flat pair rows (pi·nj + pj) into ``terms.g``. Cells with
+    a zero-variance side are NaN (correlation undefined), mirroring
+    ``np.corrcoef``.
     """
     n_s = spec.n_s
     a = spec.bw0 + w * spec.m
-    gsum = qmm2[rows, a : a + n_s].sum(axis=1)
-    si, sj = pi[rows], pj[rows]
-    num = gsum - n_s * mbar_i[si, w] * mbar_j[sj, w]
-    den2 = ss_i[si, w] * ss_j[sj, w]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den2 > 0, num / np.sqrt(den2), np.nan)
-
-
-def eval_cells(
-    pair_rows: np.ndarray,
-    wins: np.ndarray,
-    q2: np.ndarray,
-    mm2: np.ndarray,
-    mbar_i: np.ndarray,
-    mbar_j: np.ndarray,
-    ss_i: np.ndarray,
-    ss_j: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    spec: SlidingSpec,
-) -> np.ndarray:
-    """Exact Eq.-1 correlation for an irregular set of (pair, window) cells.
-
-    Used by Dangoron's frontier: only the cells the jump structure lands
-    on are evaluated, at the same Θ(n_s)-per-cell cost as the full kernel.
-
-    pair_rows: (c,) row index into the flattened (ni·nj) pair axis of
-    q2/mm2; wins: (c,) sliding-window index per cell; q2/mm2:
-    (ni·nj, n_bw) flattened pairwise bw cov / mean-product; pi/pj:
-    (ni·nj,) local series index of every flattened pair row
-    (pi = repeat(arange(ni), nj), pj = tile(arange(nj), ni)).
-    """
-    n_s = spec.n_s
-    a = spec.bw0 + wins * spec.m                              # first bw of each cell
-    idx = a[:, None] + np.arange(n_s)[None, :]                # (c, n_s)
-    qrows = q2[pair_rows]
-    mmrows = mm2[pair_rows]
-    qsum = np.take_along_axis(qrows, idx, axis=1).sum(axis=1)
-    mmsum = np.take_along_axis(mmrows, idx, axis=1).sum(axis=1)
-    si, sj = pi[pair_rows], pj[pair_rows]
-    num = qsum + mmsum - n_s * mbar_i[si, wins] * mbar_j[sj, wins]
-    den2 = ss_i[si, wins] * ss_j[sj, wins]
+    gsum = terms.g[rows, a : a + n_s].sum(axis=1)
+    si, sj = np.divmod(rows, terms.mbar_j.shape[0])
+    num = gsum - n_s * terms.mbar_i[si, w] * terms.mbar_j[sj, w]
+    den2 = terms.ss_i[si, w] * terms.ss_j[sj, w]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den2 > 0, num / np.sqrt(den2), np.nan)
 

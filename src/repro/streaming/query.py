@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.jumping import TileResult, frontier_query
+from repro.core.jumping import frontier_query
 from repro.streaming.sketch_stream import SketchStore
 from repro.tsio.validation import SlidingSpec
 
@@ -64,5 +64,4 @@ def query_dangoron(
     store: SketchStore, spec: SlidingSpec, mode: str = "exact-ci"
 ) -> pd.DataFrame:
     """Dangoron over the streamed store; returns the (i, j, w, corr) edges."""
-    res: TileResult = frontier_query(store_to_tile(store), spec, mode)
-    return pd.DataFrame({"i": res.i, "j": res.j, "w": res.w, "corr": res.corr})
+    return frontier_query(store_to_tile(store), spec, mode).frame()

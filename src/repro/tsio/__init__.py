@@ -13,6 +13,6 @@ size ``window`` (l), slide ``step`` (η), threshold ``beta`` (β) and the
 basic-window size ``bw`` (B) of the sketch framework.
 """
 from repro.tsio.validation import SlidingSpec
-from repro.tsio.matrix import to_long_df, from_long_df, window_slices
+from repro.tsio.matrix import to_long_df, window_slices
 
-__all__ = ["SlidingSpec", "to_long_df", "from_long_df", "window_slices"]
+__all__ = ["SlidingSpec", "to_long_df", "window_slices"]

@@ -33,19 +33,13 @@ def to_long_df(spark: SparkSession, X: np.ndarray) -> DataFrame:
     return spark.createDataFrame(to_long_pdf(X), schema=LONG_SCHEMA)
 
 
-def from_long_df(df: DataFrame) -> np.ndarray:
-    """Long Spark DataFrame -> dense (N, L) matrix.
+def from_long_pdf(pdf: pd.DataFrame) -> np.ndarray:
+    """Long pandas frame -> dense (N, L) matrix.
 
     Requires series_ids 0..N-1 and timesteps 0..L-1 to be fully populated
     (the synchronized-series assumption from the problem definition);
     raises if the grid has holes.
     """
-    pdf = df.toPandas()
-    return from_long_pdf(pdf)
-
-
-def from_long_pdf(pdf: pd.DataFrame) -> np.ndarray:
-    """Long pandas frame -> dense (N, L) matrix (see ``from_long_df``)."""
     n = int(pdf["series_id"].max()) + 1
     length = int(pdf["t"].max()) + 1
     if len(pdf) != n * length:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.tsubasa import eval_tile_full
 from repro.core.jumping import frontier_query
 from repro.sketch import kernels
 from repro.synth_data import ar1_matrix, uscrn_like
@@ -105,26 +106,54 @@ class TestFrontierCorrectness:
         assert res.i.size == 0 and res.stats.cells == 0
 
 
+def make_cross_tile(X, split, spec):
+    """Off-diagonal tile of series [0, split) against [split, N)."""
+    mi, si = kernels.bw_means_stds(X[:split], spec.bw)
+    mj, sj = kernels.bw_means_stds(X[split:], spec.bw)
+    return {
+        "ids_i": np.arange(split, dtype=np.int64),
+        "ids_j": np.arange(split, X.shape[0], dtype=np.int64),
+        "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj,
+        "q": kernels.pair_bw_cov(
+            kernels.bw_centered(X[:split], spec.bw), kernels.bw_centered(X[split:], spec.bw)
+        ),
+        "diag": False,
+    }
+
+
 class TestOffDiagonalTile:
     def test_cross_block_matches_reference(self):
         X = ar1_matrix(n=9, length=240, seed=6)
         spec = SlidingSpec(start=0, end=240, window=48, step=12, beta=0.3, bw=12)
-        mi, si = kernels.bw_means_stds(X[:4], spec.bw)
-        mj, sj = kernels.bw_means_stds(X[4:], spec.bw)
-        tile = {
-            "ids_i": np.arange(4, dtype=np.int64),
-            "ids_j": np.arange(4, 9, dtype=np.int64),
-            "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj,
-            "q": kernels.pair_bw_cov(
-                kernels.bw_centered(X[:4], spec.bw), kernels.bw_centered(X[4:], spec.bw)
-            ),
-            "diag": False,
-        }
+        tile = make_cross_tile(X, 4, spec)
         res = frontier_query(tile, spec, "worst-case")
         assert res.stats.cells == 4 * 5 * spec.n_windows
         ref = kernels.exact_window_corr(X, spec)
         for i, j, w, c in zip(res.i, res.j, res.w, res.corr):
             assert c == pytest.approx(ref[i, j, w], abs=1e-10)
+
+
+    def test_sweep_engines_agree_on_cross_tile(self):
+        X = ar1_matrix(n=11, length=360, seed=12)
+        spec = SlidingSpec(start=0, end=360, window=72, step=12, beta=0.3, bw=12)
+        tile = make_cross_tile(X, 4, spec)  # 4 × 7 series, ids 0..3 × 4..10
+        ref = kernels.exact_window_corr(X, spec)
+        exact = {
+            (i, j, w): ref[i, j, w]
+            for i in range(4)
+            for j in range(4, 11)
+            for w in range(spec.n_windows)
+            if ref[i, j, w] >= spec.beta
+        }
+        full = eval_tile_full(tile, spec)
+        assert len(full) == len(exact) > 0
+        for i, j, w, c in full.itertuples(index=False):
+            assert c == pytest.approx(exact[(i, j, w)], abs=1e-10)
+        for mode in ("exact-ci", "worst-case"):
+            res = frontier_query(tile, spec, mode)
+            assert res.stats.cells == 4 * 7 * spec.n_windows
+            for i, j, w, c in zip(res.i, res.j, res.w, res.corr):
+                assert c == pytest.approx(exact[(i, j, w)], abs=1e-10)
 
 
 class TestHighThresholdPruning:

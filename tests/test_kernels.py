@@ -85,22 +85,36 @@ CONFIGS = [
 ]
 
 
+def eval_every_cell(Xi, Xj, spec):
+    """(ni, nj, W) correlations of a block pair, one ``eval_at_window`` call per window."""
+    mi, si = kernels.bw_means_stds(Xi, spec.bw)
+    mj, sj = kernels.bw_means_stds(Xj, spec.bw)
+    q = kernels.pair_bw_cov(kernels.bw_centered(Xi, spec.bw), kernels.bw_centered(Xj, spec.bw))
+    tile = {"means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj, "q": q}
+    terms = kernels.tile_terms(tile, spec)
+    rows = np.arange(len(Xi) * len(Xj))
+    corr = np.stack(
+        [kernels.eval_at_window(terms, rows, w, spec) for w in range(spec.n_windows)], axis=1
+    )
+    return corr.reshape(len(Xi), len(Xj), spec.n_windows)
+
+
 class TestEq1Exactness:
+    """``eval_at_window`` at every cell against correlations from raw data."""
+
     @pytest.mark.parametrize("cfg", CONFIGS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eval_all_windows_equals_corrcoef(self, cfg, seed):
         X = ar1_matrix(n=6, length=240, seed=seed)
         spec = SlidingSpec(beta=0.0, **cfg)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        corr = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
+        corr = eval_every_cell(X, X, spec)
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref, atol=1e-10)
 
     def test_on_climate_like_data(self):
         X = uscrn_like(n_stations=4, n_hours=480, seed=0)
         spec = SlidingSpec(start=0, end=480, window=96, step=24, beta=0.0, bw=24)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        corr = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
+        corr = eval_every_cell(X, X, spec)
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref, atol=1e-9)
 
@@ -108,8 +122,7 @@ class TestEq1Exactness:
         X = ar1_matrix(n=3, length=120, seed=0)
         X[1] = 7.0  # constant: correlation undefined
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        corr = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
+        corr = eval_every_cell(X, X, spec)
         assert np.isnan(corr[1, 0]).all() and np.isnan(corr[0, 1]).all()
         assert not np.isnan(corr[0, 2]).any()
 
@@ -118,92 +131,45 @@ class TestEq1Exactness:
         base = rng.normal(size=120)
         X = np.stack([base, 2.0 * base + 5.0, -base])
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        corr = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
+        corr = eval_every_cell(X, X, spec)
         np.testing.assert_allclose(corr[0, 1], 1.0, atol=1e-10)
         np.testing.assert_allclose(corr[0, 2], -1.0, atol=1e-10)
 
     def test_cross_block_evaluation(self):
         X = ar1_matrix(n=7, length=240, seed=5)
         spec = SlidingSpec(start=0, end=240, window=48, step=24, beta=0.0, bw=12)
-        mi, si = kernels.bw_means_stds(X[:3], spec.bw)
-        mj, sj = kernels.bw_means_stds(X[3:], spec.bw)
-        q = kernels.pair_bw_cov(
-            kernels.bw_centered(X[:3], spec.bw), kernels.bw_centered(X[3:], spec.bw)
-        )
-        mbi, ssi = kernels.series_window_aggregates(mi, si, spec)
-        mbj, ssj = kernels.series_window_aggregates(mj, sj, spec)
-        corr = kernels.eval_all_windows(q, mi, mj, mbi, mbj, ssi, ssj, spec)
+        corr = eval_every_cell(X[:3], X[3:], spec)
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref[:3, 3:, :], atol=1e-10)
 
 
-class TestEvalCells:
-    @pytest.mark.parametrize("cfg", CONFIGS[:4])
-    def test_matches_full_eval(self, cfg):
-        X = ar1_matrix(n=5, length=240, seed=7)
-        spec = SlidingSpec(beta=0.0, **cfg)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        full = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
-        n = 5
-        n_bw = q.shape[2]
-        q2 = q.reshape(-1, n_bw)
-        mm2 = np.einsum("ib,jb->ijb", means, means).reshape(-1, n_bw)
-        pi = np.repeat(np.arange(n), n)
-        pj = np.tile(np.arange(n), n)
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, n * n, 50)
-        wins = rng.integers(0, spec.n_windows, 50)
-        got = kernels.eval_cells(rows, wins, q2, mm2, mbar, mbar, ss, ss, pi, pj, spec)
-        expect = full.reshape(n * n, -1)[rows, wins]
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_empty_cells(self):
-        X = ar1_matrix(n=3, length=120, seed=0)
-        spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        q2 = q.reshape(-1, q.shape[2])
-        mm2 = np.einsum("ib,jb->ijb", means, means).reshape(-1, q.shape[2])
-        pi = np.repeat(np.arange(3), 3)
-        pj = np.tile(np.arange(3), 3)
-        empty = np.empty(0, dtype=np.int64)
-        got = kernels.eval_cells(empty, empty, q2, mm2, mbar, mbar, ss, ss, pi, pj, spec)
-        assert got.shape == (0,)
-
-
 class TestEvalAtWindow:
-    """The shared sweep kernel both engines use, against the batch kernel."""
+    """The one Eq.-1 evaluator, one window at a time, against raw data."""
 
     @pytest.mark.parametrize("cfg", CONFIGS[:4])
     def test_matches_eval_all_windows(self, cfg):
         X = ar1_matrix(n=6, length=240, seed=8)
         spec = SlidingSpec(beta=0.0, **cfg)
         means, stds, q, mbar, ss = build_all(X, spec)
-        full = kernels.eval_all_windows(q, means, means, mbar, mbar, ss, ss, spec)
-        qmm2 = kernels.fuse_pair_terms(q, means, means)
-        pi = np.repeat(np.arange(6), 6)
-        pj = np.tile(np.arange(6), 6)
+        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        terms = kernels.tile_terms(tile, spec)
+        ref = kernels.exact_window_corr(X, spec)
         rows = np.arange(36)
         for w in range(spec.n_windows):
-            got = kernels.eval_at_window(
-                rows, w, qmm2, mbar, mbar, ss, ss, pi, pj, spec
-            )
-            np.testing.assert_allclose(
-                got.reshape(6, 6), full[:, :, w], atol=1e-12
-            )
+            got = kernels.eval_at_window(terms, rows, w, spec)
+            np.testing.assert_allclose(got.reshape(6, 6), ref[:, :, w], atol=1e-10)
 
     def test_row_subset(self):
         X = ar1_matrix(n=5, length=120, seed=9)
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
         means, stds, q, mbar, ss = build_all(X, spec)
-        qmm2 = kernels.fuse_pair_terms(q, means, means)
-        pi = np.repeat(np.arange(5), 5)
-        pj = np.tile(np.arange(5), 5)
+        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        terms = kernels.tile_terms(tile, spec)
         sub = np.array([1, 7, 23])
-        got = kernels.eval_at_window(sub, 3, qmm2, mbar, mbar, ss, ss, pi, pj, spec)
+        got = kernels.eval_at_window(terms, sub, 3, spec)
         ref = kernels.exact_window_corr(X, spec)
         for r, v in zip(sub, got):
-            assert v == pytest.approx(ref[pi[r], pj[r], 3], abs=1e-10)
+            assert v == pytest.approx(ref[r // 5, r % 5, 3], abs=1e-10)
 
 
 class TestFusePairTerms:

@@ -1,6 +1,7 @@
 """Catalyst sketch builders against the numpy kernels."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.sketch import kernels
 from repro.sketch.basic_window import build_series_sketch, with_mean_std
@@ -53,6 +54,36 @@ class TestSeriesSketch:
     def test_counts_full(self, long_df):
         pdf = build_series_sketch(long_df, SPEC.bw).toPandas()
         assert (pdf["cnt"] == SPEC.bw).all()
+
+
+class TestBadInputRejected:
+    """Holes, duplicate rows and non-finite values fail packing loudly."""
+
+    def test_dropped_row(self, long_df):
+        holed = long_df.where(~((F.col("series_id") == 4) & (F.col("t") == 50)))
+        with pytest.raises(Exception, match="series 4 has 119 of 120 timesteps"):
+            pack_blocks_from_long(holed, SPEC, block_size=3).collect()
+
+    def test_duplicated_row(self, long_df):
+        dup = long_df.unionByName(
+            long_df.where((F.col("series_id") == 5) & (F.col("t") == 7))
+        )
+        with pytest.raises(Exception, match="series 5 has more than one row at t=7"):
+            pack_blocks_from_long(dup, SPEC, block_size=3).collect()
+
+    def test_nan_from_matrix(self, spark, X):
+        bad = X.copy()
+        bad[2, 30] = np.nan
+        with pytest.raises(ValueError, match="series 2 has a non-finite value"):
+            pack_blocks_from_matrix(spark, bad, SPEC, block_size=3)
+
+    def test_nan_from_long(self, long_df):
+        value = F.when(
+            (F.col("series_id") == 6) & (F.col("t") == 60), F.lit(float("nan"))
+        ).otherwise(F.col("value"))
+        bad = long_df.withColumn("value", value)
+        with pytest.raises(Exception, match="series 6 has a non-finite value"):
+            pack_blocks_from_long(bad, SPEC, block_size=3).collect()
 
 
 class TestBlockPacking:
