@@ -58,7 +58,8 @@ def test_full_table1(benchmark, spark):
             title=(
                 f"T1 — pure query time | series={meta['n_series']} "
                 f"pairs={meta['n_pairs']} windows={meta['n_windows']} "
-                f"sketch_build={meta['sketch_build_s']:.2f}s"
+                f"sketch_build={meta['sketch_build_s']:.2f}s "
+                f"tiles={meta['tiles']} partitions={meta['partitions']}"
             ),
         )
         save_table(text, "results/table1.txt")

@@ -33,7 +33,8 @@ def main(argv=None) -> None:
         title=(
             f"T1 — pure query time | series={meta['n_series']} "
             f"pairs={meta['n_pairs']} windows={meta['n_windows']} "
-            f"sketch_build={meta['sketch_build_s']:.2f}s"
+            f"sketch_build={meta['sketch_build_s']:.2f}s "
+            f"tiles={meta['tiles']} partitions={meta['partitions']}"
         ),
     )
     print(text)

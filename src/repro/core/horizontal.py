@@ -48,6 +48,11 @@ def pivot_correlations(
             for payload in pdf["payload"]:
                 tile = load_pair_payload(payload)
                 for side, other in (("i", "j"), ("j", "i")):
+                    if side == "j" and pivot in tile["ids_i"]:
+                        # side i emitted the pivot's row. A diagonal band
+                        # above the pivot holds it as a column instead and
+                        # emits it against the band's rows, on side j
+                        break
                     ids_p = tile[f"ids_{side}"]
                     if pivot not in ids_p:
                         continue
@@ -78,8 +83,6 @@ def pivot_correlations(
                             "c": corr[keep].reshape(-1),
                         }
                     )
-                    if tile["diag"]:
-                        break  # both sides are the same block; emit once
 
     return pair_sketch_df.mapInPandas(run, schema=PIVOT_SCHEMA)
 
@@ -155,11 +158,17 @@ def query(
         )
     )
 
-    cand = candidate_cells(pivot_df, spec.beta).withColumn(
-        "bi", (F.col("i") / F.lit(block_size)).cast("long")
-    ).withColumn("bj", (F.col("j") / F.lit(block_size)).cast("long"))
-
-    sketch = pair_sketch_df.select("bi", "bj", "payload")
+    # each candidate goes to the tile holding its pair: block pair
+    # (bi, bj), then the row band whose global i range holds i
+    tile_ranges = pair_sketch_df.select("tid", "bi", "bj", "i_lo", "i_hi")
+    cand = (
+        candidate_cells(pivot_df, spec.beta)
+        .withColumn("bi", (F.col("i") / F.lit(block_size)).cast("long"))
+        .withColumn("bj", (F.col("j") / F.lit(block_size)).cast("long"))
+        .join(tile_ranges, ["bi", "bj"])
+        .where((F.col("i") >= F.col("i_lo")) & (F.col("i") < F.col("i_hi")))
+        .select("tid", "i", "j", "w")
+    )
 
     def cog(cand_pdf: pd.DataFrame, sk_pdf: pd.DataFrame) -> pd.DataFrame:
         if len(cand_pdf) == 0 or len(sk_pdf) == 0:
@@ -168,8 +177,8 @@ def query(
         return _eval_candidates(cand_pdf, tile, spec).frame()
 
     evaluated = (
-        cand.groupBy("bi", "bj")
-        .cogroup(sketch.groupBy("bi", "bj"))
+        cand.groupBy("tid")
+        .cogroup(pair_sketch_df.select("tid", "payload").groupBy("tid"))
         .applyInPandas(cog, schema=CELLS_SCHEMA)
     )
     return evaluated.unionByName(pivot_edges)

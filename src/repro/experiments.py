@@ -151,6 +151,9 @@ def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIO
         "n_pairs": X.shape[0] * (X.shape[0] - 1) // 2,
         "n_windows": T1_SPEC(0.7).n_windows,
         "sketch_build_s": handle.build_seconds,
+        # every query runs one task per partition, one tile each
+        "tiles": handle.df.count(),
+        "partitions": handle.df.rdd.getNumPartitions(),
     }
     handle.unpersist()
     return rows, meta

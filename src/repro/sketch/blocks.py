@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.sketch import kernels
 from repro.tsio.validation import SlidingSpec
 
-BLOCK_SCHEMA = "block_id long, n long, payload binary"
+BLOCK_SCHEMA = "block_id long, n long, n_bw long, payload binary"
 
 
 def make_bundle(ids: np.ndarray, xblk: np.ndarray, bw: int) -> bytes:
@@ -66,8 +66,8 @@ def pack_blocks_from_matrix(
     for b, lo in enumerate(range(0, n, block_size)):
         hi = min(lo + block_size, n)
         ids = np.arange(lo, hi, dtype=np.int64)
-        rows.append((b, hi - lo, make_bundle(ids, X[lo:hi], spec.bw)))
-    pdf = pd.DataFrame(rows, columns=["block_id", "n", "payload"])
+        rows.append((b, hi - lo, spec.n_bw(X.shape[1]), make_bundle(ids, X[lo:hi], spec.bw)))
+    pdf = pd.DataFrame(rows, columns=["block_id", "n", "n_bw", "payload"])
     return spark.createDataFrame(pdf, schema=BLOCK_SCHEMA)
 
 
@@ -80,8 +80,8 @@ def pack_blocks_from_long(
     ``applyInPandas`` assembles each block's dense tile and serializes
     the bundle on the executors (no driver collect of the raw data).
     Every series of a block must have exactly one row per timestep
-    0..L−1; a hole or a duplicate row fails the action that runs the
-    packing.
+    0..L−1, and L must fit ``spec``; a hole, a duplicate row or a block
+    too short for the query fails the action that runs the packing.
     """
     from pyspark.sql import functions as F
 
@@ -91,7 +91,14 @@ def pack_blocks_from_long(
         pdf = pdf.sort_values(["series_id", "t"])
         ids = pdf["series_id"].unique()
         ids.sort()
+        block_id = int(ids[0]) // block_size
         length = int(pdf["t"].max()) + 1
+        try:
+            spec.validate_against(length)
+        except ValueError as e:
+            raise ValueError(
+                f"block {block_id} (series {int(ids[0])}..{int(ids[-1])}): {e}"
+            ) from None
         dup = pdf.duplicated(["series_id", "t"])
         if dup.any():
             first = pdf.loc[dup.idxmax()]
@@ -111,11 +118,11 @@ def pack_blocks_from_long(
         pos = {s: k for k, s in enumerate(ids)}
         rowpos = pdf["series_id"].map(pos).to_numpy()
         xblk[rowpos, pdf["t"].to_numpy()] = pdf["value"].to_numpy()
-        block_id = int(ids[0]) // block_size
         return pd.DataFrame(
             {
                 "block_id": [block_id],
                 "n": [len(ids)],
+                "n_bw": [spec.n_bw(length)],
                 "payload": [make_bundle(ids, xblk, bw)],
             }
         )

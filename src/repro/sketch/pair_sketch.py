@@ -2,13 +2,12 @@
 
 Two builders:
 
-- ``build_pair_block_sketch`` — the production path. Cross-joins the
-  block-bundle DataFrame with itself (Catalyst fans out the block-pair
-  tiles) and computes each tile's pairwise bw-covariance tensor with an
-  einsum kernel. The result — one binary payload per block pair — is
-  what both query engines (TSUBASA baseline and Dangoron) consume;
-  building it is the shared "sketch build" phase that pure query time
-  excludes.
+- ``build_pair_block_sketch`` — the production path. Joins block bundles
+  into sketch tiles and computes each tile's pairwise bw-covariance
+  tensor with an einsum kernel. The result — one binary payload per
+  tile, one tile per Spark partition — is what every query engine
+  (TSUBASA, Dangoron, horizontal pruning) consumes; building it is the
+  shared "sketch build" phase that pure query time excludes.
 
 - ``build_pair_sketch_rows`` — a pure-Catalyst row-level equivalent
   (one row per (i, j, bw)), used by the DataFrame-native Eq.-1 engine in
@@ -17,6 +16,7 @@ Two builders:
 """
 from __future__ import annotations
 
+import math
 import pickle
 from typing import Iterator
 
@@ -29,61 +29,148 @@ from repro.sketch import kernels
 from repro.sketch.blocks import load_bundle
 from repro.tsio.validation import SlidingSpec
 
-PAIR_BLOCK_SCHEMA = "bi long, bj long, payload binary"
+PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, i_lo long, i_hi long, payload binary"
 PAIR_ROWS_SCHEMA = "i long, j long, bw_id long, q double"
+_LAYOUT_COLUMNS = ["tid", "bi", "bj", "lo", "hi"]
+_LAYOUT_SCHEMA = ", ".join(f"{c} long" for c in _LAYOUT_COLUMNS)
+
+
+def band_edges(row_pairs: np.ndarray, n_bands: int) -> np.ndarray:
+    """Row boundaries that cut a tile's i axis into bands of near-equal pair count.
+
+    ``row_pairs[r]`` is the number of pairs row r holds (nj for an
+    off-diagonal tile, n − 1 − r for a diagonal one). Returns increasing
+    boundaries [0, …, len(row_pairs)]: at most ``n_bands`` bands, each
+    holding at least one pair. A tile without pairs gets no band.
+    """
+    cum = np.cumsum(row_pairs)
+    if cum.size == 0 or cum[-1] == 0:
+        return np.zeros(1, dtype=np.int64)
+    last = int(np.flatnonzero(row_pairs)[-1])  # trailing rows with no pair join the last band
+    targets = cum[-1] * np.arange(1, n_bands) / n_bands
+    # cut before or after the row whose cumulative count first reaches
+    # the target, whichever lands closer to it
+    idx = np.searchsorted(cum, targets)
+    below = cum[np.maximum(idx - 1, 0)]
+    cuts = np.where((idx > 0) & (targets - below < cum[idx] - targets), idx, idx + 1)
+    cuts = np.minimum(cuts, last)
+    return np.unique(np.concatenate([[0], cuts, [len(row_pairs)]])).astype(np.int64)
+
+
+def tile_layout(
+    block_rows: dict[int, int], parallelism: int
+) -> list[tuple[int, int, int, int, int]]:
+    """The sketch's tiles as (tid, bi, bj, lo, hi), largest first.
+
+    One tile per block pair bi ≤ bj, over rows [lo, hi) of block bi
+    against block bj (on a diagonal tile, against rows lo… of the same
+    block: a row pairs only with later series). With fewer block pairs
+    than ``parallelism``, each block pair's i axis is cut into row bands
+    (``band_edges``) so that the sketch has at least ``parallelism``
+    tiles, as far as rows allow: a block pair gets bands in proportion
+    to its pairs. Tiles are numbered by decreasing pair count, so Spark,
+    which runs partitions in order, starts the largest tiles first.
+    """
+    blocks = sorted(block_rows)
+    pairs = {}
+    for a, bi in enumerate(blocks):
+        ni = block_rows[bi]
+        for bj in blocks[a:]:
+            nj = block_rows[bj]
+            pairs[bi, bj] = (
+                np.arange(ni - 1, -1, -1) if bi == bj else np.full(ni, nj)
+            ).astype(np.int64)
+    total = sum(int(p.sum()) for p in pairs.values())
+    split = total > 0 and len(pairs) < parallelism
+    tiles = []
+    for (bi, bj), row_pairs in pairs.items():
+        n_bands = math.ceil(parallelism * int(row_pairs.sum()) / total) if split else 1
+        edges = band_edges(row_pairs, n_bands)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            tiles.append((int(row_pairs[lo:hi].sum()), bi, bj, int(lo), int(hi)))
+    tiles.sort(key=lambda t: (-t[0], t[1:]))
+    return [(tid, *t[1:]) for tid, t in enumerate(tiles)]
 
 
 def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
-    """Block bundles -> one sketch payload per block pair (bi <= bj).
+    """Block bundles -> one sketch payload per tile, one tile per partition.
+
+    The driver reads the block sizes (the packer runs once: the blocks
+    are checkpointed), lays out the tiles with ``tile_layout`` over
+    ``defaultParallelism`` and range-partitions on the tile id, so each
+    partition holds exactly one tile and none is empty. Rejects blocks
+    of unequal basic-window counts before any tile is built.
 
     The payload holds everything Eq.-1 evaluation needs for the tile:
-    global series ids, per-bw means/stds of both blocks, and the
-    pairwise bw covariance tensor q (ni, nj, n_bw). The centred raw
-    data is *not* carried forward — after this stage every engine works
-    purely from sketch statistics, as the paper's framework prescribes.
+    global series ids and per-bw means/stds of its i rows and j columns,
+    and the pairwise bw covariance tensor q (ni, nj, n_bw). The centred
+    raw data is *not* carried forward — after this stage every engine
+    works purely from sketch statistics, as the paper's framework
+    prescribes. The frame also carries the tile's global i range
+    [i_lo, i_hi), so a (pair → tile) lookup needs no payload.
     """
-    a = blocks_df.select(
-        F.col("block_id").alias("bi"), F.col("payload").alias("pa")
+    spark = blocks_df.sparkSession
+    blocks = blocks_df.localCheckpoint()
+    meta = blocks.select("block_id", "n", "n_bw").collect()
+    n_bw = max((r.n_bw for r in meta), default=0)
+    short = [r for r in meta if r.n_bw != n_bw]
+    if short:
+        r = min(short, key=lambda r: r.block_id)
+        raise ValueError(
+            f"block {r.block_id} has {r.n_bw} basic windows, other blocks have {n_bw}; "
+            "every block must cover the same timesteps"
+        )
+    layout = tile_layout(
+        {r.block_id: r.n for r in meta}, spark.sparkContext.defaultParallelism
     )
-    b = blocks_df.select(
-        F.col("block_id").alias("bj"), F.col("payload").alias("pb")
+    a = blocks.select(F.col("block_id").alias("bi"), F.col("payload").alias("pa"))
+    b = blocks.select(F.col("block_id").alias("bj"), F.col("payload").alias("pb"))
+    # from pandas, so Arrow carries the layout to the JVM without Python workers
+    layout_df = spark.createDataFrame(
+        pd.DataFrame(layout, columns=_LAYOUT_COLUMNS), schema=_LAYOUT_SCHEMA
     )
-    # one tile per task: the cross-join otherwise collapses into one or
-    # two partitions and the all-pairs fan-out loses its parallelism
-    pairs = (
-        a.crossJoin(b)
-        .where(F.col("bi") <= F.col("bj"))
-        .repartition(F.col("bi"), F.col("bj"))
+    tiles = (
+        layout_df.join(a, "bi")
+        .join(b, "bj")
+        # a diagonal tile reads its one block from pa
+        .withColumn("pb", F.when(F.col("bi") != F.col("bj"), F.col("pb")))
+        .repartitionByRange(max(len(layout), 1), "tid")
     )
 
     def build(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in it:
             out = []
             for row in pdf.itertuples(index=False):
+                diag = row.bi == row.bj
                 ba = load_bundle(row.pa)
-                bb = load_bundle(row.pb)
-                q = kernels.pair_bw_cov(ba["centred"], bb["centred"])
+                bb = ba if diag else load_bundle(row.pb)
+                band = slice(row.lo, row.hi)
+                # a diagonal band pairs its rows only with later series
+                cols = slice(row.lo if diag else 0, None)
+                ids_i = ba["ids"][band]
                 payload = pickle.dumps(
                     {
-                        "ids_i": ba["ids"],
-                        "ids_j": bb["ids"],
-                        "means_i": ba["means"],
-                        "stds_i": ba["stds"],
-                        "means_j": bb["means"],
-                        "stds_j": bb["stds"],
-                        "q": q,
-                        "diag": bool(row.bi == row.bj),
+                        "ids_i": ids_i,
+                        "ids_j": bb["ids"][cols],
+                        "means_i": ba["means"][band],
+                        "stds_i": ba["stds"][band],
+                        "means_j": bb["means"][cols],
+                        "stds_j": bb["stds"][cols],
+                        "q": kernels.pair_bw_cov(ba["centred"][band], bb["centred"][cols]),
+                        "diag": bool(diag),
                     },
                     protocol=4,
                 )
-                out.append((row.bi, row.bj, payload))
-            yield pd.DataFrame(out, columns=["bi", "bj", "payload"])
+                out.append(
+                    (row.tid, row.bi, row.bj, int(ids_i[0]), int(ids_i[-1]) + 1, payload)
+                )
+            yield pd.DataFrame(out, columns=["tid", "bi", "bj", "i_lo", "i_hi", "payload"])
 
-    return pairs.mapInPandas(build, schema=PAIR_BLOCK_SCHEMA)
+    return tiles.mapInPandas(build, schema=PAIR_BLOCK_SCHEMA)
 
 
 def load_pair_payload(payload: bytes) -> dict:
-    """Deserialize a block-pair sketch payload."""
+    """Deserialize a sketch tile payload."""
     return pickle.loads(payload)
 
 
@@ -92,15 +179,16 @@ def pair_tile_arrays(tile: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (pi, pj, rows) where pi/pj index into the tile's local
     series axes and rows selects the flattened (ni·nj) pair axis. For a
-    diagonal tile only i < j pairs are kept; off-diagonal tiles keep the
-    full cross product.
+    diagonal tile (or a row band of one) only pairs with global
+    ids_i < ids_j are kept; off-diagonal tiles keep the full cross
+    product.
     """
     ni = len(tile["ids_i"])
     nj = len(tile["ids_j"])
     gi, gj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
     pi, pj = gi.reshape(-1), gj.reshape(-1)
     if tile["diag"]:
-        keep = pi < pj
+        keep = tile["ids_i"][pi] < tile["ids_j"][pj]
         pi, pj = pi[keep], pj[keep]
     rows = pi * nj + pj
     return pi, pj, rows

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import naive, tsubasa
 from repro.core import dangoron, horizontal
+from repro.core.jumping import FrontierStats, frontier_query, sweep
 from repro.harness import build_sketch
 from repro.sketch import kernels
 from repro.synth_data import uscrn_like
@@ -42,6 +43,20 @@ def sketch(spark, X):
     h = build_sketch(spark, X, SPEC, block_size=BLOCK)
     yield h
     h.unpersist()
+
+
+@pytest.fixture(scope="module")
+def banded(spark, X):
+    """One block of all N series: a single block pair, cut into row bands."""
+    h = build_sketch(spark, X, SPEC, block_size=N)
+    yield h
+    h.unpersist()
+
+
+@pytest.fixture(scope="module")
+def both_layouts(sketch, banded):
+    """(sketch, block size) of the block-pair layout and the banded one."""
+    return [(sketch, BLOCK), (banded, N)]
 
 
 def as_edge_dict(pdf: pd.DataFrame) -> dict:
@@ -99,24 +114,27 @@ class TestNaive:
 
 class TestHorizontal:
     @pytest.mark.parametrize("pivot", [0, 7])
-    def test_sound_pruning_matches_reference(self, spark, sketch, ref_edges, pivot):
-        got = as_edge_dict(
-            horizontal.query(spark, sketch.df, SPEC, pivot, BLOCK).toPandas()
-        )
-        assert set(got) == set(ref_edges)
-        for k, v in got.items():
-            assert v == pytest.approx(ref_edges[k], abs=1e-9)
+    def test_sound_pruning_matches_reference(self, spark, both_layouts, ref_edges, pivot):
+        for h, block in both_layouts:
+            pdf = horizontal.query(spark, h.df, SPEC, pivot, block).toPandas()
+            assert not pdf.duplicated(["i", "j", "w"]).any()
+            got = as_edge_dict(pdf)
+            assert set(got) == set(ref_edges)
+            for k, v in got.items():
+                assert v == pytest.approx(ref_edges[k], abs=1e-9)
 
-    def test_pivot_correlations_match_reference(self, sketch, X):
-        pdf = horizontal.pivot_correlations(sketch.df, SPEC, 3).toPandas()
+    def test_pivot_correlations_match_reference(self, both_layouts, X):
         ref = kernels.exact_window_corr(X, SPEC)
-        assert len(pdf) == (N - 1) * SPEC.n_windows
-        for r in pdf.itertuples():
-            expect = ref[min(3, r.x), max(3, r.x), r.w]
-            if np.isnan(expect):
-                assert np.isnan(r.c)
-            else:
-                assert r.c == pytest.approx(expect, abs=1e-9)
+        for h, _ in both_layouts:
+            pdf = horizontal.pivot_correlations(h.df, SPEC, 3).toPandas()
+            assert len(pdf) == (N - 1) * SPEC.n_windows
+            assert not pdf.duplicated(["x", "w"]).any()
+            for r in pdf.itertuples():
+                expect = ref[min(3, r.x), max(3, r.x), r.w]
+                if np.isnan(expect):
+                    assert np.isnan(r.c)
+                else:
+                    assert r.c == pytest.approx(expect, abs=1e-9)
 
     def test_survival_fraction_on_structured_data(self, spark, sketch):
         s = horizontal.survival_fraction(spark, sketch.df, SPEC, 0, N)
@@ -124,3 +142,42 @@ class TestHorizontal:
         # pivot 0 is a temperature series: strongly correlated with other
         # temperature series, so the triangle bound prunes some cells
         assert s["survive_fraction"] < 1.0
+
+
+def whole_tile(X) -> dict:
+    """The unbanded tile of one block of every series, built as the sketch builds it."""
+    means, stds = kernels.bw_means_stds(X, SPEC.bw)
+    xc = kernels.bw_centered(X, SPEC.bw)
+    ids = np.arange(N, dtype=np.int64)
+    return {
+        "ids_i": ids, "ids_j": ids, "means_i": means, "stds_i": stds,
+        "means_j": means, "stds_j": stds, "q": kernels.pair_bw_cov(xc, xc),
+        "diag": True,
+    }
+
+
+class TestBandedSketch:
+    """Row bands change where a pair is evaluated, never what is evaluated."""
+
+    @pytest.mark.parametrize(
+        "engine, kernel",
+        [
+            ("tsubasa", lambda tile: sweep(tile, SPEC)),
+            ("exact-ci", lambda tile: frontier_query(tile, SPEC, "exact-ci")),
+            ("worst-case", lambda tile: frontier_query(tile, SPEC, "worst-case")),
+        ],
+    )
+    def test_edges_and_stats_equal_the_whole_tile(self, spark, banded, X, engine, kernel):
+        ref = kernel(whole_tile(X))
+        stats = dangoron.StatsAccumulators(spark)
+        if engine == "tsubasa":
+            df = tsubasa.query(banded.df, SPEC, stats)
+        else:
+            df = dangoron.query(banded.df, SPEC, engine, stats)
+        got = df.toPandas().sort_values(["i", "j", "w"], ignore_index=True)
+        want = ref.frame().sort_values(["i", "j", "w"], ignore_index=True)
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        snap = stats.snapshot()
+        for f in FrontierStats.__dataclass_fields__:
+            assert snap[f] == getattr(ref.stats, f), f

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from repro.harness import build_sketch, format_table, save_table, timed_collect
+from repro.sketch.pair_sketch import tile_layout
 from repro.synth_data import ar1_matrix
 from repro.tsio.validation import SlidingSpec
 
@@ -40,7 +41,12 @@ class TestBuildSketch:
         try:
             assert h.build_seconds > 0
             assert h.n_series == 6
-            assert h.df.count() == 3  # blocks {0,1}: tiles (0,0),(0,1),(1,1)
+            # blocks {0: 4 rows, 1: 2 rows}: block pairs (0,0),(0,1),(1,1),
+            # cut into row bands when the host has more than three cores
+            layout = tile_layout({0: 4, 1: 2}, spark.sparkContext.defaultParallelism)
+            assert len(layout) >= 3
+            assert h.df.count() == len(layout)
+            assert h.df.rdd.getNumPartitions() == len(layout)
         finally:
             h.unpersist()
 

@@ -11,9 +11,12 @@ from repro.sketch.blocks import (
     pack_blocks_from_matrix,
 )
 from repro.sketch.pair_sketch import (
+    band_edges,
     build_pair_block_sketch,
     build_pair_sketch_rows,
     load_pair_payload,
+    pair_tile_arrays,
+    tile_layout,
 )
 from repro.synth_data import ar1_matrix
 from repro.tsio.matrix import to_long_df
@@ -85,6 +88,21 @@ class TestBadInputRejected:
         with pytest.raises(Exception, match="series 6 has a non-finite value"):
             pack_blocks_from_long(bad, SPEC, block_size=3).collect()
 
+    def test_block_shorter_than_query(self, long_df):
+        # block 2 (series 6) lacks its last basic window
+        short = long_df.where(~((F.col("series_id") == 6) & (F.col("t") >= 108)))
+        with pytest.raises(Exception, match="block 2 .*exceeds series length 108"):
+            pack_blocks_from_long(short, SPEC, block_size=3).collect()
+
+    def test_unequal_bundles_rejected_by_pair_build(self, long_df):
+        # fits a shorter query, so packing accepts it; the pair build
+        # must still refuse to pair bundles of unequal length
+        short = long_df.where(~((F.col("series_id") == 6) & (F.col("t") >= 108)))
+        spec = SlidingSpec(start=0, end=96, window=24, step=12, beta=0.5, bw=12)
+        blocks = pack_blocks_from_long(short, spec, block_size=3)
+        with pytest.raises(ValueError, match="block 2 has 9 basic windows, other blocks have 10"):
+            build_pair_block_sketch(blocks).count()
+
 
 class TestBlockPacking:
     def test_matrix_and_long_paths_agree(self, spark, long_df, X):
@@ -106,32 +124,117 @@ class TestBlockPacking:
         np.testing.assert_allclose(b0["means"], means, atol=1e-12)
 
 
+# Block sizes of the sketches the pair-sketch tests run over. One block
+# of all N rows is a single block pair, so it is cut into row bands on
+# any host with more than one core. The layouts are looped over inside
+# each test, which keeps the tests' ids.
+BLOCK_SIZES = (3, 4, N)
+
+
+def sketch_tiles(spark, X, block_size):
+    blocks = pack_blocks_from_matrix(spark, X, SPEC, block_size=block_size)
+    return build_pair_block_sketch(blocks).toPandas()
+
+
 class TestPairBlockSketch:
     def test_tiles_cover_all_pairs_once(self, spark, X):
-        blocks = pack_blocks_from_matrix(spark, X, SPEC, block_size=3)
-        tiles = build_pair_block_sketch(blocks).toPandas()
-        seen = set()
-        for _, row in tiles.iterrows():
-            t = load_pair_payload(row["payload"])
-            from repro.sketch.pair_sketch import pair_tile_arrays
-
-            pi, pj, _ = pair_tile_arrays(t)
-            for a, b in zip(t["ids_i"][pi], t["ids_j"][pj]):
-                key = (min(a, b), max(a, b))
-                assert key not in seen, f"pair {key} appears in two tiles"
-                seen.add(key)
-        assert len(seen) == N * (N - 1) // 2
+        for block_size in BLOCK_SIZES:
+            seen = set()
+            for _, row in sketch_tiles(spark, X, block_size).iterrows():
+                t = load_pair_payload(row["payload"])
+                assert (row["i_lo"], row["i_hi"]) == (t["ids_i"][0], t["ids_i"][-1] + 1)
+                pi, pj, _ = pair_tile_arrays(t)
+                for key in zip(t["ids_i"][pi], t["ids_j"][pj]):
+                    assert key[0] < key[1]
+                    assert key not in seen, f"pair {key} appears in two tiles"
+                    seen.add(key)
+            assert len(seen) == N * (N - 1) // 2, block_size
 
     def test_q_matches_numpy(self, spark, X):
-        blocks = pack_blocks_from_matrix(spark, X, SPEC, block_size=4)
-        tiles = build_pair_block_sketch(blocks).toPandas()
         xc = kernels.bw_centered(X, SPEC.bw)
         qfull = kernels.pair_bw_cov(xc, xc)
-        for _, row in tiles.iterrows():
-            t = load_pair_payload(row["payload"])
-            ii = t["ids_i"][:, None]
-            jj = t["ids_j"][None, :]
-            np.testing.assert_allclose(t["q"], qfull[ii, jj, :], atol=1e-10)
+        for block_size in BLOCK_SIZES:
+            for _, row in sketch_tiles(spark, X, block_size).iterrows():
+                t = load_pair_payload(row["payload"])
+                ii = t["ids_i"][:, None]
+                jj = t["ids_j"][None, :]
+                np.testing.assert_allclose(t["q"], qfull[ii, jj, :], atol=1e-10)
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_one_partition_per_tile(self, spark, X, block_size):
+        blocks = pack_blocks_from_matrix(spark, X, SPEC, block_size=block_size)
+        sketch = build_pair_block_sketch(blocks).cache()
+        try:
+            n_tiles = sketch.count()
+            assert sketch.rdd.getNumPartitions() == n_tiles
+            assert sketch.rdd.glom().map(len).collect() == [1] * n_tiles
+            tids = [r.tid for r in sketch.select("tid").collect()]
+            assert tids == list(range(n_tiles))
+        finally:
+            sketch.unpersist()
+
+    def test_single_block_pair_is_banded(self, spark, X):
+        tiles = sketch_tiles(spark, X, N)
+        # a diagonal block of N rows has N − 1 rows that hold a pair
+        assert len(tiles) >= min(spark.sparkContext.defaultParallelism, N - 1)
+        assert (tiles["bi"] == 0).all() and (tiles["bj"] == 0).all()
+
+
+class TestTileLayout:
+    """The layout rule as pure functions of block sizes and core count."""
+
+    @pytest.mark.parametrize("n_bands", [1, 2, 4, 7, 20])
+    @pytest.mark.parametrize("n, diag", [(7, True), (128, True), (5, False), (64, False)])
+    def test_band_edges(self, n, diag, n_bands):
+        row_pairs = np.arange(n - 1, -1, -1) if diag else np.full(n, 9)
+        edges = band_edges(row_pairs, n_bands)
+        assert edges[0] == 0 and edges[-1] == n
+        assert (np.diff(edges) > 0).all()
+        sums = np.add.reduceat(row_pairs, edges[:-1])
+        assert len(sums) <= n_bands and (sums > 0).all()
+        if n >= 2 * n_bands:  # then one row never outweighs a band
+            assert len(sums) == n_bands
+            assert sums.max() - sums.min() <= 2 * row_pairs.max()
+
+    def test_diagonal_bands_hold_equal_pair_counts(self):
+        row_pairs = np.arange(127, -1, -1)
+        edges = band_edges(row_pairs, 4)
+        sums = np.add.reduceat(row_pairs, edges[:-1])
+        assert sums.sum() == 128 * 127 // 2
+        assert sums.max() - sums.min() < 127  # less than one row apart
+        rows = np.diff(edges)
+        assert rows[0] < rows[-1]  # the triangle's short rows come last
+
+    def test_no_band_for_a_tile_without_pairs(self):
+        assert band_edges(np.zeros(1, dtype=np.int64), 4).tolist() == [0]
+        assert tile_layout({0: 1}, 4) == []
+
+    @pytest.mark.parametrize("parallelism", [1, 3, 4, 16])
+    def test_one_block_is_split_to_the_core_count(self, parallelism):
+        layout = tile_layout({0: 40}, parallelism)
+        assert len(layout) == parallelism
+        rows = [(lo, hi) for _, _, _, lo, hi in sorted(layout, key=lambda t: t[3])]
+        assert rows[0][0] == 0 and rows[-1][1] == 40
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+
+    def test_enough_block_pairs_are_not_split(self):
+        layout = tile_layout({b: 16 for b in range(4)}, 4)
+        assert len(layout) == 10
+        assert all((lo, hi) == (0, 16) for _, _, _, lo, hi in layout)
+
+    def test_largest_tiles_first(self):
+        sizes = {0: 16, 1: 16, 2: 5}
+        layout = tile_layout(sizes, 8)
+        assert [t[0] for t in layout] == list(range(len(layout)))
+
+        def pairs(bi, bj, lo, hi):
+            if bi == bj:
+                return sum(sizes[bi] - 1 - r for r in range(lo, hi))
+            return (hi - lo) * sizes[bj]
+
+        counts = [pairs(*t[1:]) for t in layout]
+        assert counts == sorted(counts, reverse=True)
+        assert sum(counts) == 37 * 36 // 2
 
 
 class TestPairSketchRows:
