@@ -48,17 +48,6 @@ def bw_correlations(
     return np.nan_to_num(c, nan=-1.0, copy=False)
 
 
-def ci_prefix(c_bw: np.ndarray) -> np.ndarray:
-    """Prefix sums of c_i along the basic-window axis, with a leading 0.
-
-    Output shape (..., n_bw + 1); Σ_{b∈[a,b)} c = pref[b] − pref[a], so a
-    bound probe during binary search is O(1).
-    """
-    pref = np.zeros(c_bw.shape[:-1] + (c_bw.shape[-1] + 1,), dtype=np.float64)
-    np.cumsum(c_bw, axis=-1, out=pref[..., 1:])
-    return pref
-
-
 def slack_prefix(c_bw: np.ndarray) -> np.ndarray:
     """Monotone prefix G with G[b] = Σ_{i<b} (1 − c_i), leading 0.
 
@@ -71,21 +60,6 @@ def slack_prefix(c_bw: np.ndarray) -> np.ndarray:
     pref = np.zeros(c_bw.shape[:-1] + (c_bw.shape[-1] + 1,), dtype=np.float64)
     np.cumsum(1.0 - c_bw, axis=-1, out=pref[..., 1:])
     return pref
-
-
-def temporal_upper_bound(
-    c: np.ndarray, k: np.ndarray, m: int, n_s: int, ci_sum: np.ndarray
-) -> np.ndarray:
-    """Eq. 2: upper bound on the correlation k slides ahead of c.
-
-    ``ci_sum`` is the sum of the m·k entering basic-window correlations.
-    """
-    return c + (m * k - ci_sum) / n_s
-
-
-def worst_case_upper_bound(c: np.ndarray, k: np.ndarray, m: int, n_s: int) -> np.ndarray:
-    """Eq. 2 with c_i = −1 for every entering basic window."""
-    return c + (2.0 * m * k) / n_s
 
 
 def worst_case_jump(c: np.ndarray, beta: float, m: int, n_s: int) -> np.ndarray:

@@ -9,10 +9,9 @@ verified against ``np.corrcoef`` and DuckDB in the tests.
 
 Layers:
 
-- ``kernels``      — pure numpy math shared by every engine;
-- ``basic_window`` — Catalyst (groupBy) builder of per-series bw stats;
-- ``pair_sketch``  — Catalyst builder of pairwise bw covariances, plus the
-                     block-bundled Arrow variant the fast engines consume;
-- ``blocks``       — packing series into block bundles for all-pairs fan-out;
-- ``combine``      — pure-DataFrame Eq.-1 evaluation (correctness engine).
+- ``kernels``     — pure numpy math shared by every engine;
+- ``blocks``      — packing series into block bundles for all-pairs fan-out;
+- ``pair_sketch`` — joining block bundles into the tiles of the pair
+                    sketch (per-bw covariances, means and stds) that every
+                    query engine consumes.
 """

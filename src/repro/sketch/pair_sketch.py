@@ -1,18 +1,11 @@
-"""Pairwise basic-window covariance sketches.
+"""Pairwise basic-window covariance sketch.
 
-Two builders:
-
-- ``build_pair_block_sketch`` — the production path. Joins block bundles
-  into sketch tiles and computes each tile's pairwise bw-covariance
-  tensor with an einsum kernel. The result — one binary payload per
-  tile, one tile per Spark partition — is what every query engine
-  (TSUBASA, Dangoron, horizontal pruning) consumes; building it is the
-  shared "sketch build" phase that pure query time excludes.
-
-- ``build_pair_sketch_rows`` — a pure-Catalyst row-level equivalent
-  (one row per (i, j, bw)), used by the DataFrame-native Eq.-1 engine in
-  ``combine`` and by correctness tests. It self-joins the long form, so
-  it is only meant for modest N.
+``build_pair_block_sketch`` joins block bundles into sketch tiles and
+computes each tile's pairwise bw-covariance tensor with an einsum
+kernel. The result — one binary payload per tile, one tile per Spark
+partition — is what every query engine (TSUBASA, Dangoron, horizontal
+pruning) consumes; building it is the shared "sketch build" phase that
+pure query time excludes.
 """
 from __future__ import annotations
 
@@ -27,10 +20,8 @@ from pyspark.sql import functions as F
 
 from repro.sketch import kernels
 from repro.sketch.blocks import load_bundle
-from repro.tsio.validation import SlidingSpec
 
 PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, i_lo long, i_hi long, payload binary"
-PAIR_ROWS_SCHEMA = "i long, j long, bw_id long, q double"
 _LAYOUT_COLUMNS = ["tid", "bi", "bj", "lo", "hi"]
 _LAYOUT_SCHEMA = ", ".join(f"{c} long" for c in _LAYOUT_COLUMNS)
 
@@ -192,48 +183,3 @@ def pair_tile_arrays(tile: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pi, pj = pi[keep], pj[keep]
     rows = pi * nj + pj
     return pi, pj, rows
-
-
-def build_pair_sketch_rows(long_df: DataFrame, spec: SlidingSpec) -> DataFrame:
-    """Pure-Catalyst pairwise bw covariance, one row per (i, j, bw_id).
-
-    q = E[xy] − E[x]E[y] inside each basic window (population covariance),
-    for i < j. Self-join on the timestep — Catalyst's shuffle-hash/merge
-    join path, intentionally exercised at small N for correctness tests.
-    """
-    bw = spec.bw
-    x = (
-        long_df.withColumn("bw_id", (F.col("t") / F.lit(bw)).cast("long"))
-        .select(
-            F.col("series_id").alias("i"),
-            F.col("bw_id"),
-            F.col("t"),
-            F.col("value").alias("x"),
-        )
-    )
-    y = (
-        long_df.withColumn("bw_id", (F.col("t") / F.lit(bw)).cast("long"))
-        .select(
-            F.col("series_id").alias("j"),
-            F.col("bw_id").alias("bw_id_y"),
-            F.col("t").alias("t_y"),
-            F.col("value").alias("y"),
-        )
-    )
-    joined = x.join(
-        y, (x.t == y.t_y) & (x.i < y.j)
-    )
-    return (
-        joined.groupBy("i", "j", "bw_id")
-        .agg(
-            F.avg(F.col("x") * F.col("y")).alias("exy"),
-            F.avg("x").alias("ex"),
-            F.avg("y").alias("ey"),
-        )
-        .select(
-            "i",
-            "j",
-            "bw_id",
-            (F.col("exy") - F.col("ex") * F.col("ey")).alias("q"),
-        )
-    )

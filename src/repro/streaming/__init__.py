@@ -6,9 +6,8 @@ the sketch store without rebuilding it. Basic-window statistics are pure
 sums (count, Σx, Σx², pairwise Σxy), hence mergeable: each micro-batch
 contributes partial sums that an upsert folds into the store.
 
-- ``sketch_stream`` — the store plus two Structured Streaming paths:
-  the production ``foreachBatch`` upsert, and a windowed-aggregation
-  (event-time ``window()``) query used to cross-check the aggregation;
+- ``sketch_stream`` — the store and the Structured Streaming
+  ``foreachBatch`` upsert that feeds it;
 - ``query``        — serving correlation queries straight from the
   store, including running Dangoron on it.
 """

@@ -18,9 +18,11 @@ from repro.tsio.validation import SlidingSpec
 def store_to_tile(store: SketchStore) -> dict:
     """Assemble the store into a single (diagonal) sketch tile.
 
-    Requires a dense store: every series has every basic window and the
-    pair store covers all i < j (guaranteed when ingestion saw complete
-    timesteps). Raises if the store has holes.
+    Requires a dense store: every series has every basic window, each
+    basic window is full (``bw`` timesteps) and the pair store covers
+    all i < j (guaranteed when ingestion saw complete timesteps). Raises
+    if the store has holes or a partially filled basic window, whose
+    statistics would stand in for the whole window.
     """
     s = store.series_sketch()
     ids = np.sort(s["series_id"].unique()).astype(np.int64)
@@ -33,6 +35,13 @@ def store_to_tile(store: SketchStore) -> dict:
     if not np.array_equal(bws, np.arange(nb)):
         raise ValueError("store must cover contiguous basic windows from 0")
     cnt = s["cnt"].to_numpy().reshape(n, nb)
+    short = np.argwhere(cnt != store.bw)
+    if len(short):
+        k, b = short[0]
+        raise ValueError(
+            f"series {ids[k]} has {cnt[k, b]} timesteps in basic window {bws[b]}, "
+            f"expected {store.bw}; query only full basic windows"
+        )
     s1 = s["s1"].to_numpy().reshape(n, nb)
     s2 = s["s2"].to_numpy().reshape(n, nb)
     means = s1 / cnt

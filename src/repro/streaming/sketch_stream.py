@@ -6,13 +6,10 @@ The store keeps mergeable sums only:
 - pair store:   (i, j, bw_id)      → Σ x·y   (i < j).
 
 Derived statistics (mean, std, per-bw covariance q) are computed at
-query time from the sums, so any batching of the input rows yields a
-bit-identical store — the property the streaming-equals-batch tests
-assert. The ``foreachBatch`` upsert is the production idiom for
-merge-into-store sinks (a Delta/JDBC MERGE in a real deployment; local
-parquet here). A second, pure windowed-aggregation streaming query
-(event-time ``window()``, complete mode, memory sink) cross-checks the
-same aggregation through Spark's stateful-aggregation path.
+query time from the sums, so any batching of the input rows yields the
+same store — the tests check a streamed store against numpy sums. The
+``foreachBatch`` upsert is the production idiom for merge-into-store
+sinks (a Delta/JDBC MERGE in a real deployment; local parquet here).
 """
 from __future__ import annotations
 
@@ -21,8 +18,7 @@ import uuid
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.tsio.matrix import LONG_SCHEMA
 
@@ -30,10 +26,9 @@ from repro.tsio.matrix import LONG_SCHEMA
 class SketchStore:
     """Mergeable basic-window sketch sums, persisted as parquet."""
 
-    def __init__(self, path: str, bw: int, track_pairs: bool = True):
+    def __init__(self, path: str, bw: int):
         self.path = path
         self.bw = bw
-        self.track_pairs = track_pairs
         os.makedirs(path, exist_ok=True)
         self._series = pd.DataFrame(
             columns=["series_id", "bw_id", "cnt", "s1", "s2"]
@@ -50,12 +45,18 @@ class SketchStore:
         """Fold one micro-batch of long rows (series_id, t, value) in."""
         if len(pdf) == 0:
             return
+        bad = ~np.isfinite(pdf["value"].to_numpy(dtype=np.float64))
+        if bad.any():
+            r = pdf[bad].sort_values(["series_id", "t"]).iloc[0]
+            raise ValueError(
+                f"series {int(r['series_id'])} has a non-finite value ({r['value']}) "
+                f"at t={int(r['t'])}; fill or drop it before streaming"
+            )
         pdf = pdf.copy()
         pdf["bw_id"] = pdf["t"] // self.bw
         # validate + fold pairs first so a rejected batch leaves the
         # series store untouched (no partial commit)
-        if self.track_pairs:
-            self._apply_pair_batch(pdf)
+        self._apply_pair_batch(pdf)
         part = pdf.groupby(["series_id", "bw_id"], as_index=False).agg(
             cnt=("value", "size"),
             s1=("value", "sum"),
@@ -109,7 +110,7 @@ class SketchStore:
     # -- derived views -----------------------------------------------------
 
     def series_sketch(self) -> pd.DataFrame:
-        """(series_id, bw_id, cnt, s1, s2) — comparable to the batch builder."""
+        """(series_id, bw_id, cnt, s1, s2), one row per series and basic window."""
         return self._series.sort_values(["series_id", "bw_id"]).reset_index(drop=True)
 
     def pair_sketch(self) -> pd.DataFrame:
@@ -166,45 +167,3 @@ def run_stream(
     )
     q.awaitTermination()
 
-
-def windowed_series_sketch(
-    spark: SparkSession, input_dir: str, bw: int, sink_name: str
-) -> DataFrame:
-    """Event-time windowed-aggregation cross-check of the series sketch.
-
-    Treats ``t`` as seconds since epoch and aggregates cnt/Σx/Σx² per
-    ``window(ts, bw seconds)`` through Spark's stateful streaming
-    aggregation (complete mode, memory sink). Returns the sink's table,
-    with the window start mapped back to a bw_id.
-    """
-    stream = (
-        spark.readStream.schema(LONG_SCHEMA)
-        .option("maxFilesPerTrigger", 1)
-        .parquet(input_dir)
-        .withColumn("ts", F.timestamp_seconds(F.col("t")))
-    )
-    agg = (
-        stream.groupBy(
-            F.col("series_id"), F.window("ts", f"{bw} seconds").alias("win")
-        )
-        .agg(
-            F.count(F.lit(1)).alias("cnt"),
-            F.sum("value").alias("s1"),
-            F.sum(F.col("value") * F.col("value")).alias("s2"),
-        )
-    )
-    q = (
-        agg.writeStream.format("memory")
-        .queryName(sink_name)
-        .outputMode("complete")
-        .trigger(availableNow=True)
-        .start()
-    )
-    q.awaitTermination()
-    return spark.table(sink_name).select(
-        "series_id",
-        (F.unix_timestamp(F.col("win.start")) / F.lit(bw)).cast("long").alias("bw_id"),
-        "cnt",
-        "s1",
-        "s2",
-    )

@@ -5,8 +5,8 @@ The whole reproduction works over two equivalent representations:
 - a dense driver-side matrix ``X`` of shape (N, L) — numpy, used by the
   Arrow kernels inside Spark tasks;
 - a long-form Spark DataFrame ``(series_id: long, t: long, value: double)``
-  — the Catalyst-visible representation used by the DataFrame-native
-  sketch builders, the streaming maintenance path and the DuckDB oracle.
+  — the Catalyst-visible representation used by the long-form block
+  packer, the streaming maintenance path and the DuckDB oracle.
 
 ``SlidingSpec`` captures the paper's query: range r=(start, end), window
 size ``window`` (l), slide ``step`` (η), threshold ``beta`` (β) and the

@@ -1,9 +1,9 @@
 """Conversions between dense matrices and long-form Spark DataFrames.
 
 Long form is the Catalyst-visible layout: one row per observation,
-``(series_id, t, value)``. All Spark-side substrates (sketch builders,
-streaming maintenance, the DuckDB oracle) consume it; the Arrow kernels
-consume the dense matrix.
+``(series_id, t, value)``. The long-form block packer, streaming
+maintenance and the DuckDB oracle consume it; the Arrow kernels consume
+the dense matrix.
 """
 from __future__ import annotations
 

@@ -1,4 +1,10 @@
-"""Eq.-2 temporal bounds and the triangle (horizontal) bound."""
+"""Eq.-2 temporal bounds and the triangle (horizontal) bound.
+
+Eq. 2 is written out directly below (``temporal_upper_bound`` and its
+c_i = −1 form ``worst_case_upper_bound``, over ``ci_prefix`` sums) as the
+reference that the engine's forms, ``bounds.slack_prefix`` and
+``bounds.worst_case_jump``, are compared against.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,31 @@ from repro.core import bounds
 from repro.sketch import kernels
 from repro.synth_data import ar1_matrix
 from repro.tsio.validation import SlidingSpec
+
+
+def ci_prefix(c_bw: np.ndarray) -> np.ndarray:
+    """Prefix sums of c_i along the basic-window axis, with a leading 0.
+
+    Output shape (..., n_bw + 1); Σ_{b∈[a,b)} c = pref[b] − pref[a].
+    """
+    pref = np.zeros(c_bw.shape[:-1] + (c_bw.shape[-1] + 1,), dtype=np.float64)
+    np.cumsum(c_bw, axis=-1, out=pref[..., 1:])
+    return pref
+
+
+def temporal_upper_bound(
+    c: np.ndarray, k: np.ndarray, m: int, n_s: int, ci_sum: np.ndarray
+) -> np.ndarray:
+    """Eq. 2: upper bound on the correlation k slides ahead of c.
+
+    ``ci_sum`` is the sum of the m·k entering basic-window correlations.
+    """
+    return c + (m * k - ci_sum) / n_s
+
+
+def worst_case_upper_bound(c: np.ndarray, k: np.ndarray, m: int, n_s: int) -> np.ndarray:
+    """Eq. 2 with c_i = −1 for every entering basic window."""
+    return c + (2.0 * m * k) / n_s
 
 
 class TestBwCorrelations:
@@ -48,7 +79,7 @@ class TestBwCorrelations:
 class TestCiPrefix:
     def test_prefix_reconstructs_range_sums(self):
         c = np.random.default_rng(0).uniform(-1, 1, size=(3, 4, 10))
-        pref = bounds.ci_prefix(c)
+        pref = ci_prefix(c)
         assert pref.shape == (3, 4, 11)
         for a in range(10):
             for b in range(a, 11):
@@ -58,7 +89,7 @@ class TestCiPrefix:
 
     def test_leading_zero(self):
         c = np.ones((2, 5))
-        assert (bounds.ci_prefix(c)[..., 0] == 0).all()
+        assert (ci_prefix(c)[..., 0] == 0).all()
 
 
 class TestSlackPrefix:
@@ -72,10 +103,11 @@ class TestSlackPrefix:
         rng = np.random.default_rng(2)
         ci = rng.uniform(-1, 1, 30)
         g = bounds.slack_prefix(ci[None, :])[0]
+        pref = ci_prefix(ci)
         c0, m, n_s, a0 = 0.1, 1, 8, 5
         for k in range(1, 20):
-            ci_sum = ci[a0 : a0 + m * k].sum()
-            direct = bounds.temporal_upper_bound(
+            ci_sum = pref[a0 + m * k] - pref[a0]
+            direct = temporal_upper_bound(
                 np.array([c0]), np.array([k]), m, n_s, np.array([ci_sum])
             )[0]
             via_slack = c0 + (g[a0 + m * k] - g[a0]) / n_s
@@ -95,7 +127,7 @@ class TestTemporalBound:
         pref = np.concatenate([[0.0], np.cumsum(ci)])
         c0, m, n_s = -0.2, 1, 8
         ub = [
-            bounds.temporal_upper_bound(
+            temporal_upper_bound(
                 np.array([c0]), np.array([k]), m, n_s, np.array([pref[m * k] - pref[0]])
             )[0]
             for k in range(1, 40)
@@ -103,19 +135,19 @@ class TestTemporalBound:
         assert all(b >= a - 1e-12 for a, b in zip(ub, ub[1:]))
 
     def test_reduces_to_current_corr_at_zero(self):
-        ub = bounds.temporal_upper_bound(np.array([0.3]), np.array([0]), 2, 10, np.array([0.0]))
+        ub = temporal_upper_bound(np.array([0.3]), np.array([0]), 2, 10, np.array([0.0]))
         assert ub[0] == pytest.approx(0.3)
 
     def test_perfectly_correlated_entering_windows_freeze_bound(self):
         # c_i = 1 for all entering bws -> UB(k) = c for every k
         k = np.arange(1, 10)
-        ub = bounds.temporal_upper_bound(np.full(9, 0.1), k, 1, 5, k.astype(float))
+        ub = temporal_upper_bound(np.full(9, 0.1), k, 1, 5, k.astype(float))
         np.testing.assert_allclose(ub, 0.1)
 
     def test_worst_case_matches_ci_minus_one(self):
         k = np.arange(1, 6)
-        via_ci = bounds.temporal_upper_bound(np.zeros(5), k, 3, 7, -3.0 * k)
-        direct = bounds.worst_case_upper_bound(np.zeros(5), k, 3, 7)
+        via_ci = temporal_upper_bound(np.zeros(5), k, 3, 7, -3.0 * k)
+        direct = worst_case_upper_bound(np.zeros(5), k, 3, 7)
         np.testing.assert_allclose(via_ci, direct)
 
     @given(
@@ -130,10 +162,10 @@ class TestTemporalBound:
             return
         k = bounds.worst_case_jump(np.array([c]), beta, m, n_s)[0]
         assert k >= 1
-        assert bounds.worst_case_upper_bound(np.array([c]), np.array([k]), m, n_s)[0] >= beta - 1e-9
+        assert worst_case_upper_bound(np.array([c]), np.array([k]), m, n_s)[0] >= beta - 1e-9
         if k > 1:
             assert (
-                bounds.worst_case_upper_bound(np.array([c]), np.array([k - 1]), m, n_s)[0]
+                worst_case_upper_bound(np.array([c]), np.array([k - 1]), m, n_s)[0]
                 < beta + 1e-9
             )
 

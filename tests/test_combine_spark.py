@@ -1,18 +1,30 @@
-"""Catalyst Eq.-1 engine vs numpy and the DuckDB oracle."""
-import numpy as np
+"""The exact query engines against numpy and the DuckDB oracle.
+
+At β = −1 an exact engine emits every defined (pair, window) cell, so
+its output is the whole correlation-matrix sequence. TSUBASA over the
+cached pair sketch, horizontal pruning (pivot 0) and the naive raw-data
+engine must each equal DuckDB's ``corr()`` over the same long-form
+input, on a query from t = 0 and on a sub-range query. Dangoron is
+checked against TSUBASA in the engine tests (a subset with equal
+values).
+"""
+from dataclasses import replace
+
 import pytest
 
+from repro.baselines import naive, tsubasa
+from repro.core import horizontal
+from repro.harness import build_sketch
 from repro.oracle import assert_equivalent
 from repro.sketch import kernels
-from repro.sketch.basic_window import build_series_sketch
-from repro.sketch.combine import query_window_corr, threshold
-from repro.sketch.pair_sketch import build_pair_sketch_rows
 from repro.synth_data import ar1_matrix
-from repro.tsio.matrix import to_long_df, to_long_pdf, window_slices
+from repro.tsio.matrix import to_long_pdf, window_slices
 from repro.tsio.validation import SlidingSpec
 
 N, L = 6, 120
+BLOCK = 4
 SPEC = SlidingSpec(start=0, end=L, window=24, step=12, beta=0.4, bw=12)
+ALL_CELLS = replace(SPEC, beta=-1.0)
 
 ORACLE_SQL = """
 SELECT a.series_id AS i, b.series_id AS j, w.w AS w,
@@ -30,49 +42,63 @@ def X():
 
 
 @pytest.fixture(scope="module")
-def cells_df(spark, X):
-    long_df = to_long_df(spark, X)
-    long_df.cache().count()
-    series = build_series_sketch(long_df, SPEC.bw)
-    pairs = build_pair_sketch_rows(long_df, SPEC)
-    df = query_window_corr(series, pairs, SPEC).cache()
+def sketch(spark, X):
+    h = build_sketch(spark, X, SPEC, block_size=BLOCK)
+    yield h
+    h.unpersist()
+
+
+@pytest.fixture(scope="module")
+def cells_df(sketch):
+    df = tsubasa.query(sketch.df, ALL_CELLS).cache()
     df.count()
-    return df
+    yield df
+    df.unpersist()
+
+
+def exact_engines(spark, X, sketch, spec):
+    """(name, edge DataFrame) of every exact engine on one query."""
+    return [
+        ("tsubasa", tsubasa.query(sketch.df, spec)),
+        ("horizontal", horizontal.query(spark, sketch.df, spec, pivot=0, block_size=BLOCK)),
+        ("naive", naive.query(spark, X, spec)),
+    ]
+
+
+def assert_engines_match_oracle(spark, X, sketch, spec):
+    for name, df in exact_engines(spark, X, sketch, spec):
+        try:
+            assert_equivalent(df, ORACLE_SQL, ts=to_long_pdf(X), wins=window_slices(spec))
+        except AssertionError as e:
+            raise AssertionError(f"{name} differs from the DuckDB oracle") from e
 
 
 class TestCatalystEq1:
     def test_matches_numpy_reference(self, cells_df, X):
-        ref = kernels.exact_window_corr(X, SPEC)
+        ref = kernels.exact_window_corr(X, ALL_CELLS)
         pdf = cells_df.toPandas()
         assert len(pdf) == (N * (N - 1) // 2) * SPEC.n_windows
         for row in pdf.itertuples():
             assert row.corr == pytest.approx(ref[row.i, row.j, row.w], abs=1e-9)
 
-    def test_against_duckdb_oracle(self, cells_df, X):
-        assert_equivalent(
-            cells_df,
-            ORACLE_SQL,
-            ts=to_long_pdf(X),
-            wins=window_slices(SPEC),
-        )
+    def test_against_duckdb_oracle(self, spark, X, sketch):
+        assert_engines_match_oracle(spark, X, sketch, ALL_CELLS)
 
-    def test_threshold_keeps_only_edges(self, cells_df):
-        got = threshold(cells_df, 0.4).toPandas()
-        assert (got["corr"] >= 0.4).all()
+    def test_threshold_keeps_only_edges(self, sketch, cells_df):
+        key = ["i", "j", "w"]
+        got = tsubasa.query(sketch.df, SPEC).toPandas().sort_values(key)
         full = cells_df.toPandas()
-        assert len(got) == (full["corr"] >= 0.4).sum()
+        want = full[full["corr"] >= SPEC.beta].sort_values(key)
+        assert len(got) > 0
+        assert got[key].to_numpy().tolist() == want[key].to_numpy().tolist()
+        assert (got["corr"].to_numpy() == want["corr"].to_numpy()).all()
 
 
 class TestOffsetQuery:
     def test_subrange_query_matches_oracle(self, spark, X):
-        spec = SlidingSpec(start=24, end=120, window=48, step=24, beta=0.0, bw=12)
-        long_df = to_long_df(spark, X)
-        series = build_series_sketch(long_df, spec.bw)
-        pairs = build_pair_sketch_rows(long_df, spec)
-        df = query_window_corr(series, pairs, spec)
-        assert_equivalent(
-            df,
-            ORACLE_SQL,
-            ts=to_long_pdf(X),
-            wins=window_slices(spec),
-        )
+        spec = SlidingSpec(start=24, end=120, window=48, step=24, beta=-1.0, bw=12)
+        h = build_sketch(spark, X, spec, block_size=BLOCK)
+        try:
+            assert_engines_match_oracle(spark, X, h, spec)
+        finally:
+            h.unpersist()

@@ -1,10 +1,9 @@
-"""Catalyst sketch builders against the numpy kernels."""
+"""Block packing and the pair-sketch build against the numpy kernels."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.sketch import kernels
-from repro.sketch.basic_window import build_series_sketch, with_mean_std
 from repro.sketch.blocks import (
     load_bundle,
     pack_blocks_from_long,
@@ -13,7 +12,6 @@ from repro.sketch.blocks import (
 from repro.sketch.pair_sketch import (
     band_edges,
     build_pair_block_sketch,
-    build_pair_sketch_rows,
     load_pair_payload,
     pair_tile_arrays,
     tile_layout,
@@ -38,25 +36,31 @@ def long_df(spark, X):
     return df
 
 
+def long_bundles(long_df, block_size):
+    """Block bundles packed from the long form, by block id."""
+    pdf = pack_blocks_from_long(long_df, SPEC, block_size=block_size).toPandas()
+    return pdf.sort_values("block_id").reset_index(drop=True)
+
+
 class TestSeriesSketch:
+    """Per-series basic-window statistics of the long-form packing path."""
+
     def test_matches_numpy(self, long_df, X):
-        pdf = (
-            with_mean_std(build_series_sketch(long_df, SPEC.bw))
-            .toPandas()
-            .sort_values(["series_id", "bw_id"])
-        )
         means, stds = kernels.bw_means_stds(X, SPEC.bw)
-        assert len(pdf) == N * (L // SPEC.bw)
-        np.testing.assert_allclose(
-            pdf["mean"].to_numpy().reshape(N, -1), means, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            pdf["std"].to_numpy().reshape(N, -1), stds, atol=1e-9
-        )
+        seen = 0
+        for payload in long_bundles(long_df, 3)["payload"]:
+            b = load_bundle(payload)
+            np.testing.assert_allclose(b["means"], means[b["ids"]], atol=1e-9)
+            np.testing.assert_allclose(b["stds"], stds[b["ids"]], atol=1e-9)
+            seen += len(b["ids"])
+        assert seen == N
 
     def test_counts_full(self, long_df):
-        pdf = build_series_sketch(long_df, SPEC.bw).toPandas()
-        assert (pdf["cnt"] == SPEC.bw).all()
+        pdf = long_bundles(long_df, 3)
+        assert pdf["n"].sum() == N
+        assert (pdf["n_bw"] == L // SPEC.bw).all()
+        for payload in pdf["payload"]:
+            assert load_bundle(payload)["means"].shape[1] == L // SPEC.bw
 
 
 class TestBadInputRejected:
@@ -239,11 +243,15 @@ class TestTileLayout:
 
 class TestPairSketchRows:
     def test_matches_numpy(self, long_df, X):
-        pdf = build_pair_sketch_rows(long_df, SPEC).toPandas()
+        # the pair sketch built from long-form bundles, not the matrix path
         xc = kernels.bw_centered(X, SPEC.bw)
         qfull = kernels.pair_bw_cov(xc, xc)
-        assert len(pdf) == (N * (N - 1) // 2) * (L // SPEC.bw)
-        for row in pdf.itertuples():
-            assert row.q == pytest.approx(
-                qfull[row.i, row.j, row.bw_id], abs=1e-9
-            )
+        blocks = pack_blocks_from_long(long_df, SPEC, block_size=3)
+        pairs = 0
+        for _, row in build_pair_block_sketch(blocks).toPandas().iterrows():
+            t = load_pair_payload(row["payload"])
+            ii = t["ids_i"][:, None]
+            jj = t["ids_j"][None, :]
+            np.testing.assert_allclose(t["q"], qfull[ii, jj, :], atol=1e-10)
+            pairs += len(pair_tile_arrays(t)[0])
+        assert pairs == N * (N - 1) // 2

@@ -1,4 +1,5 @@
-"""Streaming sketch maintenance: batch-equivalence and serving queries."""
+"""Streaming sketch maintenance: the store against numpy sums, input
+rejection, and serving queries from the store."""
 import os
 
 import numpy as np
@@ -8,15 +9,10 @@ import pytest
 from repro.baselines import tsubasa
 from repro.harness import build_sketch
 from repro.sketch import kernels
-from repro.sketch.basic_window import build_series_sketch
 from repro.streaming.query import query_dangoron, store_to_tile
-from repro.streaming.sketch_stream import (
-    SketchStore,
-    run_stream,
-    windowed_series_sketch,
-)
+from repro.streaming.sketch_stream import SketchStore, run_stream
 from repro.synth_data import ar1_matrix
-from repro.tsio.matrix import to_long_df, to_long_pdf
+from repro.tsio.matrix import to_long_pdf
 from repro.tsio.validation import SlidingSpec
 
 N, L = 8, 480
@@ -50,17 +46,15 @@ class TestForeachBatchStore:
     def test_processed_in_multiple_batches(self, store):
         assert store.batches_applied >= 2  # maxFilesPerTrigger=1 over 6 files
 
-    def test_series_store_equals_batch_builder(self, spark, store, X):
-        batch = (
-            build_series_sketch(to_long_df(spark, X), SPEC.bw)
-            .toPandas()
-            .sort_values(["series_id", "bw_id"])
-            .reset_index(drop=True)
-        )
-        got = store.series_sketch()[batch.columns]
-        pd.testing.assert_frame_equal(
-            got.astype(batch.dtypes.to_dict()), batch, check_exact=False, atol=1e-9
-        )
+    def test_series_store_equals_batch_builder(self, store, X):
+        xb = X.reshape(N, -1, SPEC.bw)
+        got = store.series_sketch()
+        assert len(got) == N * xb.shape[1]
+        assert (got["cnt"] == SPEC.bw).all()
+        for col, want in (("s1", xb.sum(axis=2)), ("s2", (xb * xb).sum(axis=2))):
+            np.testing.assert_allclose(
+                got[col].to_numpy().reshape(N, -1), want, rtol=0, atol=1e-9
+            )
 
     def test_pair_store_matches_numpy(self, store, X):
         xc = kernels.bw_centered(X, SPEC.bw)
@@ -109,30 +103,6 @@ class TestForeachBatchStore:
                 store.apply_batch(bad)
 
 
-class TestWindowedAggregation:
-    def test_event_time_window_agg_equals_batch(self, spark, X, tmp_path_factory):
-        root = tmp_path_factory.mktemp("stream-win")
-        stage_files(X, str(root / "in"), n_files=4)
-        got = (
-            windowed_series_sketch(spark, str(root / "in"), SPEC.bw, "win_sketch_t")
-            .toPandas()
-            .sort_values(["series_id", "bw_id"])
-            .reset_index(drop=True)
-        )
-        batch = (
-            build_series_sketch(to_long_df(spark, X), SPEC.bw)
-            .toPandas()
-            .sort_values(["series_id", "bw_id"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            got[batch.columns].astype(batch.dtypes.to_dict()),
-            batch,
-            check_exact=False,
-            atol=1e-9,
-        )
-
-
 class TestStoreAssembly:
     def test_store_to_tile_roundtrip(self, spark, X, tmp_path_factory):
         root = tmp_path_factory.mktemp("tile")
@@ -154,9 +124,30 @@ class TestStoreAssembly:
 
     def test_ragged_store_rejected(self, X, tmp_path_factory):
         root = tmp_path_factory.mktemp("ragged")
-        store = SketchStore(str(root), bw=SPEC.bw, track_pairs=False)
-        pdf = to_long_pdf(X[:2, :48])
-        # series 0 has two basic windows, series 1 only one: ragged grid
-        store.apply_batch(pdf[(pdf["series_id"] == 0) | (pdf["t"] < 24)])
-        with pytest.raises(ValueError, match="ragged|contiguous"):
+        store = SketchStore(str(root), bw=SPEC.bw)
+        pdf = to_long_pdf(X[:4, :48])
+        # series 0 alone for the first basic window, then every series
+        # joins: series 0 has two basic windows, the others one
+        store.apply_batch(pdf[(pdf["series_id"] == 0) & (pdf["t"] < 24)])
+        store.apply_batch(pdf[pdf["t"] >= 24])
+        with pytest.raises(ValueError, match="ragged: 5 rows != 4 series"):
             store_to_tile(store)
+
+    def test_partial_basic_window_rejected(self, X, tmp_path_factory):
+        # t < 30 with bw = 24: the second basic window holds 6 of 24
+        # timesteps, so its statistics would stand in for a whole window
+        store = SketchStore(str(tmp_path_factory.mktemp("partial")), bw=SPEC.bw)
+        store.apply_batch(to_long_pdf(X[:, :30]))
+        spec = SlidingSpec(start=0, end=48, window=48, step=24, beta=-1.0, bw=SPEC.bw)
+        with pytest.raises(ValueError, match="series 0 has 6 timesteps in basic window 1"):
+            query_dangoron(store, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, X, tmp_path_factory, bad):
+        store = SketchStore(str(tmp_path_factory.mktemp("nonfinite")), bw=SPEC.bw)
+        pdf = to_long_pdf(X[:, :48])
+        pdf.loc[(pdf["series_id"] == 3) & (pdf["t"] == 30), "value"] = bad
+        with pytest.raises(ValueError, match="series 3 has a non-finite value .* at t=30"):
+            store.apply_batch(pdf)
+        # rejected before any fold: the store is still empty
+        assert len(store.series_sketch()) == 0 and len(store.pair_sketch()) == 0
