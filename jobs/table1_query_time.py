@@ -16,16 +16,10 @@ def main(argv=None) -> None:
     p.add_argument("--out", default="results/table1.txt")
     args = p.parse_args(argv)
 
-    from pyspark.sql import SparkSession
-
     from repro import experiments
-    from repro.harness import format_table, save_table
+    from repro.harness import format_table, save_table, spark_session
 
-    spark = (
-        SparkSession.builder.appName("table1-query-time")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    spark = spark_session("table1-query-time")
     n_stations = args.stations or experiments.T1_N_STATIONS
     rows, meta = experiments.run_table1(spark, reps=args.reps, n_stations=n_stations)
     text = format_table(

@@ -16,16 +16,10 @@ def main(argv=None) -> None:
     p.add_argument("--out", default="results/table3.txt")
     args = p.parse_args(argv)
 
-    from pyspark.sql import SparkSession
-
     from repro import experiments
-    from repro.harness import format_table, save_table
+    from repro.harness import format_table, save_table, spark_session
 
-    spark = (
-        SparkSession.builder.appName("table3-robustness")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    spark = spark_session("table3-robustness")
     rows, meta = experiments.run_table3(spark, reps=args.reps)
     text = format_table(
         rows,

@@ -13,16 +13,10 @@ def main(argv=None) -> None:
     p.add_argument("--out", default="results/table4.txt")
     args = p.parse_args(argv)
 
-    from pyspark.sql import SparkSession
-
     from repro import experiments
-    from repro.harness import format_table, save_table
+    from repro.harness import format_table, save_table, spark_session
 
-    spark = (
-        SparkSession.builder.appName("table4-pruning")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    spark = spark_session("table4-pruning")
     n_stations = args.stations or experiments.T4_N_STATIONS
     rows, meta = experiments.run_table4(spark, n_stations=n_stations)
     text = format_table(

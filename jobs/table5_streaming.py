@@ -14,16 +14,11 @@ def main(argv=None) -> None:
     args = p.parse_args(argv)
 
     import pandas as pd
-    from pyspark.sql import SparkSession
 
     from repro import experiments
-    from repro.harness import format_table, save_table
+    from repro.harness import format_table, save_table, spark_session
 
-    spark = (
-        SparkSession.builder.appName("table5-streaming")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    spark = spark_session("table5-streaming")
     with tempfile.TemporaryDirectory() as workdir:
         rows, meta, store, rebuild = experiments.run_table5(spark, workdir)
         # correctness: the incrementally-maintained store must equal the

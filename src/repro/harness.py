@@ -6,6 +6,7 @@ paper's claims.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -13,11 +14,28 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro import MALLOC_ENV
 from repro.sketch.blocks import pack_blocks_from_matrix
 from repro.sketch.pair_sketch import build_pair_block_sketch
 from repro.tsio.validation import SlidingSpec
 
 DEFAULT_BLOCK_SIZE = 16
+
+
+def spark_session(app_name: str) -> SparkSession:
+    """The jobs' SparkSession: Arrow on, and ``repro``'s malloc thresholds
+    handed to the Python workers.
+
+    Under ``spark-submit`` the JVM starts before this process imports
+    ``repro``, so its workers would not inherit the variables from the
+    driver's environment; ``spark.executorEnv.*`` passes them explicitly.
+    """
+    builder = SparkSession.builder.appName(app_name).config(
+        "spark.sql.execution.arrow.pyspark.enabled", "true"
+    )
+    for name in MALLOC_ENV:
+        builder = builder.config(f"spark.executorEnv.{name}", os.environ[name])
+    return builder.getOrCreate()
 
 
 @dataclass

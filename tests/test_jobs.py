@@ -2,15 +2,41 @@
 
 Each job's ``main`` runs end-to-end with a small --stations override,
 reusing the session fixture via ``getOrCreate``, and must leave a
-formatted table at the requested output path.
+formatted table at the requested output path. The jobs' session helper
+is also run under a real ``spark-submit``, whose JVM starts before the
+driver imports ``repro``.
 """
 import importlib.util
 import os
+import subprocess
 import sys
 
+import pyspark
 import pytest
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+# what a job does: build the session with the helper, then run Python tasks
+SUBMIT_PROBE = """
+import pandas as pd
+
+from repro.harness import spark_session
+
+
+def probe(batches):
+    with open("/proc/self/environ", "rb") as fh:
+        env = dict(kv.decode().split("=", 1) for kv in fh.read().split(b"\\0") if b"=" in kv)
+    for _ in batches:
+        pass
+    yield pd.DataFrame({"env": [" ".join(env.get(k, "unset") for k in
+                                         ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"))]})
+
+
+spark = spark_session("submit-probe")
+print("WORKER_ENV", spark.range(1, numPartitions=1).mapInPandas(probe, "env string").first().env)
+spark.stop()
+"""
 
 
 def load_job(name):
@@ -44,3 +70,25 @@ class TestJobMains:
         mod.main(["--out", out])
         text = open(out).read()
         assert "store_matches=True" in text
+
+
+class TestSparkSubmit:
+    def test_workers_get_malloc_thresholds(self, tmp_path):
+        script = tmp_path / "probe.py"
+        script.write_text(SUBMIT_PROBE)
+        # the submitting shell has not imported repro, so neither has the JVM
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env.pop("PYSPARK_SUBMIT_ARGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        submit = os.path.join(os.path.dirname(pyspark.__file__), "bin", "spark-submit")
+        out = subprocess.run(
+            [submit, "--master", "local[1]", "--driver-memory", "1g",
+             "--conf", "spark.ui.enabled=false", "--conf", "spark.driver.host=127.0.0.1",
+             str(script)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr[-3000:]
+        expected = str(1 << 30)
+        assert f"WORKER_ENV {expected} {expected}" in out.stdout, out.stdout[-2000:]
