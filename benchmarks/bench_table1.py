@@ -9,7 +9,7 @@ import pytest
 from repro import experiments
 from repro.baselines import tsubasa
 from repro.core import dangoron
-from repro.harness import build_sketch, format_table, save_table, timed_count
+from repro.harness import build_sketch, save_table, timed_count
 from repro.synth_data import uscrn_like
 
 BETA = 0.7
@@ -53,15 +53,7 @@ def test_dangoron_worst_case_query(benchmark, sketch):
 def test_full_table1(benchmark, spark):
     def run():
         rows, meta = experiments.run_table1(spark)
-        text = format_table(
-            rows,
-            title=(
-                f"T1 — pure query time | series={meta['n_series']} "
-                f"pairs={meta['n_pairs']} windows={meta['n_windows']} "
-                f"sketch_build={meta['sketch_build_s']:.2f}s "
-                f"tiles={meta['tiles']} partitions={meta['partitions']}"
-            ),
-        )
+        text = experiments.table_text(1, rows, meta)
         save_table(text, "results/table1.txt")
         return rows
 

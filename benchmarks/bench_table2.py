@@ -7,7 +7,7 @@ import pytest
 
 from repro import experiments
 from repro.baselines import parcorr, statstream
-from repro.harness import format_table, save_table, timed_count
+from repro.harness import save_table, timed_count
 from repro.synth_data import uscrn_like
 
 
@@ -39,13 +39,7 @@ def test_statstream_query(benchmark, spark, X):
 def test_full_table2(benchmark, spark):
     def run():
         rows, meta = experiments.run_table2(spark)
-        text = format_table(
-            rows,
-            title=(
-                f"T2 — accuracy vs exact | beta={meta['beta']} "
-                f"exact_edges={meta['exact_edges']}"
-            ),
-        )
+        text = experiments.table_text(2, rows, meta)
         save_table(text, "results/table2.txt")
         return rows
 

@@ -8,7 +8,7 @@ import pytest
 from repro import experiments
 from repro.baselines import naive, tsubasa
 from repro.core import dangoron
-from repro.harness import build_sketch, format_table, save_table, timed_count
+from repro.harness import build_sketch, save_table, timed_count
 from repro.tomborg.generator import generate_named
 
 
@@ -58,13 +58,7 @@ def test_dangoron_query(benchmark, sketch):
 def test_full_table3(benchmark, spark):
     def run():
         rows, meta = experiments.run_table3(spark, reps=1)
-        text = format_table(
-            rows,
-            title=(
-                f"T3 — Tomborg robustness | N={meta['n']} L={meta['len']} "
-                f"beta={meta['beta']}"
-            ),
-        )
+        text = experiments.table_text(3, rows, meta)
         save_table(text, "results/table3.txt")
         return rows
 

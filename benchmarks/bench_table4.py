@@ -1,18 +1,12 @@
 """T4 benchmarks — pruning mechanics sweep, writes results/table4.txt."""
 from repro import experiments
-from repro.harness import format_table, save_table
+from repro.harness import save_table
 
 
 def test_full_table4(benchmark, spark):
     def run():
         rows, meta = experiments.run_table4(spark)
-        text = format_table(
-            rows,
-            title=(
-                f"T4 — pruning mechanics | series={meta['n_series']} "
-                f"windows={meta['n_windows']}"
-            ),
-        )
+        text = experiments.table_text(4, rows, meta)
         save_table(text, "results/table4.txt")
         return rows
 

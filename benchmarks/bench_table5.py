@@ -4,7 +4,7 @@ import tempfile
 import pandas as pd
 
 from repro import experiments
-from repro.harness import format_table, save_table
+from repro.harness import save_table
 
 
 def test_full_table5(benchmark, spark):
@@ -15,15 +15,7 @@ def test_full_table5(benchmark, spark):
             b = rebuild.series_sketch().round(9)
             meta["store_matches"] = a.equals(b)
             pd.testing.assert_frame_equal(a, b)
-        text = format_table(
-            rows,
-            title=(
-                "T5 — sketch maintenance | "
-                f"update_speedup_vs_rebuild={meta['update_speedup_vs_rebuild']:.1f}x "
-                f"micro_batches={meta['batches']} "
-                f"store_matches={meta['store_matches']}"
-            ),
-        )
+        text = experiments.table_text(5, rows, meta)
         save_table(text, "results/table5.txt")
         return rows, meta
 

@@ -12,25 +12,17 @@ import sys
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--stations", type=int, default=None, help="stations (×4 variables)")
-    p.add_argument("--reps", type=int, default=3, help="timed repetitions (median)")
+    p.add_argument("--reps", type=int, default=3, help="timed repetitions (minimum)")
     p.add_argument("--out", default="results/table1.txt")
     args = p.parse_args(argv)
 
     from repro import experiments
-    from repro.harness import format_table, save_table, spark_session
+    from repro.harness import save_table, spark_session
 
     spark = spark_session("table1-query-time")
     n_stations = args.stations or experiments.T1_N_STATIONS
     rows, meta = experiments.run_table1(spark, reps=args.reps, n_stations=n_stations)
-    text = format_table(
-        rows,
-        title=(
-            f"T1 — pure query time | series={meta['n_series']} "
-            f"pairs={meta['n_pairs']} windows={meta['n_windows']} "
-            f"sketch_build={meta['sketch_build_s']:.2f}s "
-            f"tiles={meta['tiles']} partitions={meta['partitions']}"
-        ),
-    )
+    text = experiments.table_text(1, rows, meta)
     print(text)
     save_table(text, args.out)
 

@@ -16,18 +16,12 @@ def main(argv=None) -> None:
     args = p.parse_args(argv)
 
     from repro import experiments
-    from repro.harness import format_table, save_table, spark_session
+    from repro.harness import save_table, spark_session
 
     spark = spark_session("table2-accuracy")
     n_stations = args.stations or experiments.T2_N_STATIONS
     rows, meta = experiments.run_table2(spark, n_stations=n_stations)
-    text = format_table(
-        rows,
-        title=(
-            f"T2 — accuracy vs exact | beta={meta['beta']} "
-            f"exact_edges={meta['exact_edges']}"
-        ),
-    )
+    text = experiments.table_text(2, rows, meta)
     print(text)
     save_table(text, args.out)
 

@@ -17,17 +17,11 @@ def main(argv=None) -> None:
     args = p.parse_args(argv)
 
     from repro import experiments
-    from repro.harness import format_table, save_table, spark_session
+    from repro.harness import save_table, spark_session
 
     spark = spark_session("table3-robustness")
     rows, meta = experiments.run_table3(spark, reps=args.reps)
-    text = format_table(
-        rows,
-        title=(
-            f"T3 — Tomborg robustness | N={meta['n']} L={meta['len']} "
-            f"beta={meta['beta']}"
-        ),
-    )
+    text = experiments.table_text(3, rows, meta)
     print(text)
     save_table(text, args.out)
 

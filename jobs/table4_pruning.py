@@ -14,18 +14,12 @@ def main(argv=None) -> None:
     args = p.parse_args(argv)
 
     from repro import experiments
-    from repro.harness import format_table, save_table, spark_session
+    from repro.harness import save_table, spark_session
 
     spark = spark_session("table4-pruning")
     n_stations = args.stations or experiments.T4_N_STATIONS
     rows, meta = experiments.run_table4(spark, n_stations=n_stations)
-    text = format_table(
-        rows,
-        title=(
-            f"T4 — pruning mechanics | series={meta['n_series']} "
-            f"windows={meta['n_windows']}"
-        ),
-    )
+    text = experiments.table_text(4, rows, meta)
     print(text)
     save_table(text, args.out)
 

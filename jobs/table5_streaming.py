@@ -16,7 +16,7 @@ def main(argv=None) -> None:
     import pandas as pd
 
     from repro import experiments
-    from repro.harness import format_table, save_table, spark_session
+    from repro.harness import save_table, spark_session
 
     spark = spark_session("table5-streaming")
     with tempfile.TemporaryDirectory() as workdir:
@@ -27,14 +27,7 @@ def main(argv=None) -> None:
         b = rebuild.series_sketch().round(9)
         meta["store_matches"] = a.equals(b)
         pd.testing.assert_frame_equal(a, b)
-    text = format_table(
-        rows,
-        title=(
-            "T5 — sketch maintenance | "
-            f"update_speedup_vs_rebuild={meta['update_speedup_vs_rebuild']:.1f}x "
-            f"micro_batches={meta['batches']} store_matches={meta['store_matches']}"
-        ),
-    )
+    text = experiments.table_text(5, rows, meta)
     print(text)
     save_table(text, args.out)
 

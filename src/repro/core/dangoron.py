@@ -5,7 +5,8 @@ block-pair sketch (see DESIGN.md § physical execution): Catalyst plans
 the scan of the sketch DataFrame, ``run_tiles`` runs the frontier
 kernel per tile in ``mapInPandas``, and Spark accumulators collect the
 pruning counters (they materialise once an action runs on the returned
-DataFrame). TSUBASA runs through the same ``run_tiles``.
+DataFrame). TSUBASA and horizontal pruning (its pivot stage and its
+masked sweep) run through the same ``run_tiles``.
 
 A true JVM physical operator is out of scope in this container (no
 Scala toolchain; PySpark cannot register physical operators) — the
@@ -67,7 +68,7 @@ def run_tiles(
     kernel: Callable[[dict], TileResult],
     stats: StatsAccumulators | None = None,
 ) -> DataFrame:
-    """The one tile runner of the sweep engines.
+    """The one tile runner of every engine.
 
     Loads each block-pair payload in ``mapInPandas``, runs ``kernel`` on
     it, adds the kernel's counters and seconds to ``stats`` and yields

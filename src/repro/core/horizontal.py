@@ -1,36 +1,63 @@
-"""Horizontal computation pruning via the triangle bound, as DataFrame filters.
+"""Horizontal computation pruning via the triangle bound, in the one window sweep.
 
 Dangoron's second feature: with a pivot series z, the N per-window pivot
 correlations c(x, z) bound every remaining pair —
 c_xy ≤ c_xz·c_yz + √((1−c_xz²)(1−c_yz²)) (sound: the 3×3 correlation
-matrix is PSD). The dataflow is exactly the "prune unrelated series via
-DataFrame filters" shape:
+matrix is PSD). The query runs in two passes of the one tile runner:
 
-  1. Arrow kernel: pivot column of the correlation matrix, N·W cells;
-  2. Catalyst: self-join the pivot frame on the window id, compute the
-     upper bound as a column expression, ``filter(ub >= β)``;
-  3. cogrouped Arrow kernel: exact Eq.-1 evaluation of the surviving
-     (pair, window) cells only.
+  1. pivot stage: every series' correlation with z at every window,
+     N·W cells, collected on the driver into the matrix P (N × W);
+  2. ``jumping.sweep`` with no jump rule and ``pivot_corr=P``: each
+     woken cell whose triangle bound is below β steps to the next
+     window without being evaluated.
 
-Because the bound is sound, the output is identical to the unpruned
-exact engines — only the amount of exact evaluation changes.
+The pivot's own row of P is NaN, and a NaN bound never masks, so pairs
+containing the pivot are evaluated at every window. Because the bound
+is sound, the output is identical to the unpruned exact engines.
+``candidate_cells`` states the same filter as a Catalyst self-join; it
+counts Table 4's survivors.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from functools import partial
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.dangoron import CELLS_SCHEMA
-from repro.core.jumping import TileResult
+from repro.core.dangoron import run_tiles
+from repro.core.jumping import TileResult, sweep
 from repro.sketch import kernels
-from repro.sketch.pair_sketch import load_pair_payload
 from repro.tsio.validation import SlidingSpec
 
-PIVOT_SCHEMA = "x long, w long, c double"
+
+def _pivot_kernel(tile: dict, spec: SlidingSpec, pivot: int) -> TileResult:
+    """Correlations of the pivot with the tile's other series, as (x, pivot, w, c).
+
+    The pivot's row pairs it with every column; a tile holding the pivot
+    only as a column (an off-diagonal tile, or a diagonal band above the
+    pivot's row) pairs it with every row.
+    """
+    ids_i, ids_j = tile["ids_i"], tile["ids_j"]
+    if pivot in ids_i:
+        other = ids_j
+        rows = np.searchsorted(ids_i, pivot) * ids_j.size + np.arange(ids_j.size)
+    elif pivot in ids_j:
+        other = ids_i
+        rows = np.arange(ids_i.size) * ids_j.size + np.searchsorted(ids_j, pivot)
+    else:
+        return TileResult()
+    keep = other != pivot
+    other, rows = other[keep], rows[keep]
+    terms = kernels.tile_terms(tile, spec)
+    nw = spec.n_windows
+    corr = np.stack([kernels.eval_at_window(terms, rows, w, spec) for w in range(nw)], axis=1)
+    return TileResult(
+        np.repeat(other, nw),
+        np.full(other.size * nw, pivot, dtype=np.int64),
+        np.tile(np.arange(nw, dtype=np.int64), other.size),
+        corr.reshape(-1),
+    )
 
 
 def pivot_correlations(
@@ -41,50 +68,22 @@ def pivot_correlations(
     One row (x, w, c) per series x ≠ pivot and window w; undefined cells
     (zero variance) carry NaN and are treated as unprunable downstream.
     """
-    nw = spec.n_windows
+    return run_tiles(pair_sketch_df, partial(_pivot_kernel, spec=spec, pivot=pivot)).select(
+        F.col("i").alias("x"), "w", F.col("corr").alias("c")
+    )
 
-    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in it:
-            for payload in pdf["payload"]:
-                tile = load_pair_payload(payload)
-                for side, other in (("i", "j"), ("j", "i")):
-                    if side == "j" and pivot in tile["ids_i"]:
-                        # side i emitted the pivot's row. A diagonal band
-                        # above the pivot holds it as a column instead and
-                        # emits it against the band's rows, on side j
-                        break
-                    ids_p = tile[f"ids_{side}"]
-                    if pivot not in ids_p:
-                        continue
-                    lp = int(np.searchsorted(ids_p, pivot))
-                    ids_o = tile[f"ids_{other}"]
-                    q = tile["q"] if side == "i" else np.swapaxes(tile["q"], 0, 1)
-                    # the 1 × n_other sub-tile of the pivot's row
-                    terms = kernels.tile_terms(
-                        {
-                            "means_i": tile[f"means_{side}"][lp : lp + 1],
-                            "stds_i": tile[f"stds_{side}"][lp : lp + 1],
-                            "means_j": tile[f"means_{other}"],
-                            "stds_j": tile[f"stds_{other}"],
-                            "q": q[lp : lp + 1],
-                        },
-                        spec,
-                    )
-                    rows = np.arange(ids_o.size)
-                    corr = np.stack(
-                        [kernels.eval_at_window(terms, rows, w, spec) for w in range(nw)],
-                        axis=1,
-                    )                         # (n_other, W)
-                    keep = ids_o != pivot
-                    yield pd.DataFrame(
-                        {
-                            "x": np.repeat(ids_o[keep], nw),
-                            "w": np.tile(np.arange(nw, dtype=np.int64), int(keep.sum())),
-                            "c": corr[keep].reshape(-1),
-                        }
-                    )
 
-    return pair_sketch_df.mapInPandas(run, schema=PIVOT_SCHEMA)
+def pivot_matrix(pair_sketch_df: DataFrame, spec: SlidingSpec, pivot: int) -> np.ndarray:
+    """The pivot stage collected on the driver: P[x, w] = c(x, pivot) at window w.
+
+    Shape (N, W), indexed by global series id; the pivot's own row is NaN.
+    """
+    pdf = pivot_correlations(pair_sketch_df, spec, pivot).toPandas()
+    x = pdf["x"].to_numpy()
+    n = max(int(x.max()) if x.size else 0, pivot) + 1
+    corr = np.full((n, spec.n_windows), np.nan)
+    corr[x, pdf["w"].to_numpy()] = pdf["c"].to_numpy()
+    return corr
 
 
 def candidate_cells(pivot_df: DataFrame, beta: float) -> DataFrame:
@@ -113,26 +112,6 @@ def candidate_cells(pivot_df: DataFrame, beta: float) -> DataFrame:
     )
 
 
-def _eval_candidates(
-    cand: pd.DataFrame, tile: dict, spec: SlidingSpec
-) -> TileResult:
-    """Exact Eq.-1 evaluation of listed (i, j, w) cells of one tile (at least one)."""
-    i = cand["i"].to_numpy()
-    j = cand["j"].to_numpy()
-    wins = cand["w"].to_numpy().astype(np.int64)
-    rows = np.searchsorted(tile["ids_i"], i) * len(tile["ids_j"]) + np.searchsorted(
-        tile["ids_j"], j
-    )
-    terms = kernels.tile_terms(tile, spec)
-    # one evaluator call per window, over that window's candidates
-    corr = np.empty(rows.size)
-    order = np.argsort(wins, kind="stable")
-    for part in np.split(order, np.flatnonzero(np.diff(wins[order])) + 1):
-        corr[part] = kernels.eval_at_window(terms, rows[part], int(wins[part[0]]), spec)
-    keep = corr >= spec.beta
-    return TileResult(i[keep], j[keep], wins[keep], corr[keep])
-
-
 def query(
     spark: SparkSession,
     pair_sketch_df: DataFrame,
@@ -140,48 +119,15 @@ def query(
     pivot: int,
     block_size: int,
 ) -> DataFrame:
-    """Full horizontally-pruned query: pivot stage → filter → exact eval.
+    """Full horizontally-pruned query: pivot stage, then the masked sweep.
 
-    Output is the same thresholded edge set as the exact engines. The
-    pivot's own edges come straight from stage 1; all other pairs pass
-    through the triangle filter before exact evaluation.
+    Runs the pivot stage at once (one Spark job) and returns the edges
+    (i, j, w, corr ≥ β) of the window sweep with the triangle mask, the
+    same edge set as the exact engines. ``spark`` and ``block_size`` are
+    no longer read; they stay in the signature for positional callers.
     """
-    pivot_df = pivot_correlations(pair_sketch_df, spec, pivot).cache()
-
-    pivot_edges = (
-        pivot_df.where(F.col("c") >= F.lit(spec.beta))
-        .select(
-            F.least(F.col("x"), F.lit(pivot)).alias("i"),
-            F.greatest(F.col("x"), F.lit(pivot)).alias("j"),
-            F.col("w"),
-            F.col("c").alias("corr"),
-        )
-    )
-
-    # each candidate goes to the tile holding its pair: block pair
-    # (bi, bj), then the row band whose global i range holds i
-    tile_ranges = pair_sketch_df.select("tid", "bi", "bj", "i_lo", "i_hi")
-    cand = (
-        candidate_cells(pivot_df, spec.beta)
-        .withColumn("bi", (F.col("i") / F.lit(block_size)).cast("long"))
-        .withColumn("bj", (F.col("j") / F.lit(block_size)).cast("long"))
-        .join(tile_ranges, ["bi", "bj"])
-        .where((F.col("i") >= F.col("i_lo")) & (F.col("i") < F.col("i_hi")))
-        .select("tid", "i", "j", "w")
-    )
-
-    def cog(cand_pdf: pd.DataFrame, sk_pdf: pd.DataFrame) -> pd.DataFrame:
-        if len(cand_pdf) == 0 or len(sk_pdf) == 0:
-            return TileResult().frame()
-        tile = load_pair_payload(sk_pdf["payload"].iloc[0])
-        return _eval_candidates(cand_pdf, tile, spec).frame()
-
-    evaluated = (
-        cand.groupBy("tid")
-        .cogroup(pair_sketch_df.select("tid", "payload").groupBy("tid"))
-        .applyInPandas(cog, schema=CELLS_SCHEMA)
-    )
-    return evaluated.unionByName(pivot_edges)
+    corr = pivot_matrix(pair_sketch_df, spec, pivot)
+    return run_tiles(pair_sketch_df, lambda tile: sweep(tile, spec, pivot_corr=corr))
 
 
 def survival_fraction(

@@ -16,8 +16,11 @@ All pairs of the tile advance together ("frontier"), so each round is a
 handful of vectorized numpy ops; the total number of exact evaluations —
 the quantity the paper's pruning reduces — is counted and returned.
 
-``sweep`` is the one window loop of the sweep engines: TSUBASA runs it
-with no jump rule, Dangoron with the exact-ci or worst-case Eq.-2 rule.
+``sweep`` is the one window loop of every engine: TSUBASA runs it with
+no jump rule, Dangoron with the exact-ci or worst-case Eq.-2 rule, and
+horizontal pruning with no jump rule and a triangle mask — the pivot
+correlations bound each woken cell, and a cell whose bound is below β
+steps to the next window unevaluated.
 """
 from __future__ import annotations
 
@@ -76,7 +79,10 @@ class TileResult:
 JumpRule = Callable[[dict, np.ndarray, SlidingSpec], Callable[..., np.ndarray]]
 
 
-def sweep(tile: dict, spec: SlidingSpec, rule: JumpRule | None = None) -> TileResult:
+def sweep(
+    tile: dict, spec: SlidingSpec, rule: JumpRule | None = None,
+    pivot_corr: np.ndarray | None = None,
+) -> TileResult:
     """Evaluate one block-pair tile window by window; the one window sweep.
 
     Each window has a "wake bucket" of the pairs that must be exactly
@@ -87,10 +93,18 @@ def sweep(tile: dict, spec: SlidingSpec, rule: JumpRule | None = None) -> TileRe
     re-queued for the next window as one array, so every cell is
     evaluated; with a rule a below-β cell lands in a later bucket.
 
+    ``pivot_corr`` (N × W, indexed by global series id) holds each
+    series' correlations with a pivot z. Given it, a woken cell whose
+    triangle bound c_xz·c_yz + √((1−c_xz²)(1−c_yz²)) is below β is
+    masked: it steps to the next window without being evaluated. The
+    bound is sound, so no edge is lost. A NaN bound (an undefined pivot
+    correlation, or the pivot's own NaN row) never masks.
+
     ``tile`` is a payload from ``pair_sketch.load_pair_payload``.
     """
     w_total, beta = spec.n_windows, spec.beta
     pi, pj, rows = pair_tile_arrays(tile)
+    gi, gj = tile["ids_i"][pi], tile["ids_j"][pj]
     n_pairs = rows.size
     stats = FrontierStats(cells=n_pairs * w_total)
     if n_pairs == 0:
@@ -110,13 +124,20 @@ def sweep(tile: dict, spec: SlidingSpec, rule: JumpRule | None = None) -> TileRe
         if not parts:
             continue
         act = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if pivot_corr is not None:
+            ub = bounds.triangle_bounds(pivot_corr[gi[act], w], pivot_corr[gj[act], w])[1]
+            masked = ub < beta  # NaN compares False: never masks
+            if masked.any():
+                if w + 1 < w_total:
+                    buckets[w + 1].append(act[masked])
+                act = act[~masked]
         c = kernels.eval_at_window(terms, rows[act], w, spec)
         stats.evals += act.size
         emit = c >= beta  # NaN compares False: undefined cells emit nothing
         if emit.any():
             sel = act[emit]
-            out_i.append(tile["ids_i"][pi[sel]])
-            out_j.append(tile["ids_j"][pj[sel]])
+            out_i.append(gi[sel])
+            out_j.append(gj[sel])
             out_w.append(np.full(sel.size, w, dtype=np.int64))
             out_c.append(c[emit])
             stats.emitted += int(emit.sum())

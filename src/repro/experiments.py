@@ -8,9 +8,9 @@ these runners produce.
 
 Timing discipline: the pair sketch is built once per dataset (shared by
 every engine — the paper's "pure query time" excludes it but we report
-it), each engine's query is run ``reps`` times and the median wall time
-is reported. Medians matter here: the sandboxed container shows ±40%
-run-to-run noise on first-touch allocations.
+it), each engine's query is run ``reps`` times and the minimum wall time
+is reported. The minimum matters here: first-touch allocations show ±40%
+run-to-run noise on the virtualized hosts these tables were run on.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 from repro import synth_data
 from repro.baselines import naive, parcorr, statstream, tsubasa
 from repro.core import dangoron, horizontal
-from repro.harness import build_sketch, timed_count
+from repro.harness import build_sketch, format_table, timed_count
 from repro.metrics import edge_metrics
 from repro.tomborg.generator import generate_named
 from repro.tsio.validation import SlidingSpec
@@ -80,6 +80,28 @@ T5_BATCHES = 5
 T5_SPEC = SlidingSpec(start=0, end=8640, window=720, step=24, beta=0.7, bw=24)
 
 
+# Each table's title, filled from its runner's meta.
+_TITLES = {
+    1: (
+        "T1 — pure query time | series={n_series} pairs={n_pairs} windows={n_windows} "
+        "sketch_build={sketch_build_s:.2f}s tiles={tiles} partitions={partitions}"
+    ),
+    2: "T2 — accuracy vs exact | beta={beta} exact_edges={exact_edges}",
+    3: "T3 — Tomborg robustness | N={n} L={len} beta={beta}",
+    4: "T4 — pruning mechanics | series={n_series} windows={n_windows}",
+    5: (
+        "T5 — sketch maintenance | "
+        "update_speedup_vs_rebuild={update_speedup_vs_rebuild:.1f}x "
+        "micro_batches={batches} store_matches={store_matches}"
+    ),
+}
+
+
+def table_text(table: int, rows: list[dict], meta: dict) -> str:
+    """Table ``table`` (1–5) formatted under its title, as jobs and benchmarks print it."""
+    return format_table(rows, title=_TITLES[table].format(**meta))
+
+
 @dataclass
 class EngineRun:
     name: str
@@ -89,7 +111,7 @@ class EngineRun:
     stats: dict = field(default_factory=dict)
 
 
-def _median_run(run_once, reps: int) -> tuple[pd.DataFrame, float]:
+def _min_run(run_once, reps: int) -> tuple[pd.DataFrame, float]:
     """Repeat a timed run and report the MINIMUM (timeit-style).
 
     The sandbox's virtualized kernel makes first-touch page faults cost
@@ -122,7 +144,7 @@ def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIO
             ("dangoron", lambda s=None: dangoron.query(handle.df, spec, "exact-ci", s)),
             ("dangoron-wc", lambda s=None: dangoron.query(handle.df, spec, "worst-case", s)),
         ):
-            n, secs = _median_run(lambda: timed_count(make_df()), reps)
+            n, secs = _min_run(lambda: timed_count(make_df()), reps)
             # extra (warm) instrumented runs for total in-kernel work;
             # min over two for the same noise-robustness as the wall time
             snaps = []
@@ -207,13 +229,13 @@ def run_table3(spark: SparkSession, reps: int = 3):
     for dist, alpha in T3_GRID:
         X, _ = generate_named(dist, T3_N, T3_LEN, alpha=alpha, seed=17)
         handle = build_sketch(spark, X, spec, block_size=T3_BLOCK)
-        _, t_tsu = _median_run(
+        _, t_tsu = _min_run(
             lambda: timed_count(tsubasa.query(handle.df, spec)), reps
         )
-        _, t_dg = _median_run(
+        _, t_dg = _min_run(
             lambda: timed_count(dangoron.query(handle.df, spec, "exact-ci")), reps
         )
-        _, t_nv = _median_run(
+        _, t_nv = _min_run(
             lambda: timed_count(naive.query(spark, X, spec)), reps
         )
         exact = tsubasa.query(handle.df, spec).toPandas()

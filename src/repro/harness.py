@@ -20,18 +20,25 @@ from repro.sketch.pair_sketch import build_pair_block_sketch
 from repro.tsio.validation import SlidingSpec
 
 DEFAULT_BLOCK_SIZE = 16
+# The driver heap of a job started with ``python``: it caches the pair
+# sketch, and T1's (10 tiles of ~49 MB) overflows the JVM's 1 GiB default.
+DRIVER_MEMORY = "4g"
 
 
 def spark_session(app_name: str) -> SparkSession:
-    """The jobs' SparkSession: Arrow on, and ``repro``'s malloc thresholds
-    handed to the Python workers.
+    """The jobs' SparkSession: Arrow on, a ``DRIVER_MEMORY`` heap, and
+    ``repro``'s malloc thresholds handed to the Python workers.
 
-    Under ``spark-submit`` the JVM starts before this process imports
-    ``repro``, so its workers would not inherit the variables from the
-    driver's environment; ``spark.executorEnv.*`` passes them explicitly.
+    The heap applies only when this call starts the JVM; under
+    ``spark-submit`` the JVM is already up and ``--driver-memory`` rules.
+    There the JVM also starts before this process imports ``repro``, so
+    its workers would not inherit the malloc variables from the driver's
+    environment; ``spark.executorEnv.*`` passes them explicitly.
     """
-    builder = SparkSession.builder.appName(app_name).config(
-        "spark.sql.execution.arrow.pyspark.enabled", "true"
+    builder = (
+        SparkSession.builder.appName(app_name)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.driver.memory", DRIVER_MEMORY)
     )
     for name in MALLOC_ENV:
         builder = builder.config(f"spark.executorEnv.{name}", os.environ[name])

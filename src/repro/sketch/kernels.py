@@ -140,10 +140,10 @@ def eval_at_window(
 
     The one Eq.-1 evaluator: the sweep calls it with every pair row at
     every window (TSUBASA) or with the rows its jump rule wakes at ``w``
-    (Dangoron), and horizontal pruning with the pivot's rows and with
-    its surviving candidates. Every cell pays the same Θ(n_s) gather-sum
-    over the fused g, so engine wall-clock ratios measure pruning, not
-    implementation skew.
+    (Dangoron, and horizontal pruning after its triangle mask), and the
+    pivot stage with the pivot's row. Every cell pays the same Θ(n_s)
+    gather-sum over the fused g, so engine wall-clock ratios measure
+    pruning, not implementation skew.
 
     rows: (c,) flat pair rows (pi·nj + pj) into ``terms.g``. Cells with
     a zero-variance side are NaN (correlation undefined), mirroring

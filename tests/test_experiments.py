@@ -2,6 +2,7 @@
 import pytest
 
 from repro import experiments
+from repro.harness import format_table
 from repro.tsio.validation import SlidingSpec
 
 
@@ -41,3 +42,37 @@ class TestConfigs:
         assert experiments.T1_BLOCK <= experiments.T1_N_STATIONS * 4
         assert experiments.T2_BLOCK <= experiments.T2_N_STATIONS * 4
         assert experiments.T3_BLOCK <= experiments.T3_N
+
+
+class TestTitles:
+    """Jobs and benchmarks print the titles these f-strings always printed."""
+
+    @pytest.mark.parametrize(
+        "table, meta, title",
+        [
+            (
+                1,
+                {"n_series": 512, "n_pairs": 130816, "n_windows": 276,
+                 "sketch_build_s": 11.436, "tiles": 10, "partitions": 10},
+                "T1 — pure query time | series=512 pairs=130816 windows=276 "
+                "sketch_build=11.44s tiles=10 partitions=10",
+            ),
+            (2, {"exact_edges": 1234, "beta": 0.7},
+             "T2 — accuracy vs exact | beta=0.7 exact_edges=1234"),
+            (3, {"n": 64, "len": 4096, "beta": 0.6},
+             "T3 — Tomborg robustness | N=64 L=4096 beta=0.6"),
+            (4, {"n_series": 128, "n_windows": 276},
+             "T4 — pruning mechanics | series=128 windows=276"),
+            (
+                5,
+                {"update_speedup_vs_rebuild": 12.345, "batches": 5, "store_matches": True},
+                "T5 — sketch maintenance | update_speedup_vs_rebuild=12.3x "
+                "micro_batches=5 store_matches=True",
+            ),
+        ],
+    )
+    def test_title_line(self, table, meta, title):
+        rows = [{"engine": "x", "query_s": 1.0}]
+        text = experiments.table_text(table, rows, meta)
+        assert text.splitlines()[0] == title
+        assert text == format_table(rows, title=title)

@@ -5,7 +5,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import bounds, horizontal
+from repro.core.jumping import sweep
 from repro.sketch import kernels
+from repro.sketch.pair_sketch import load_pair_payload
 from repro.synth_data import uscrn_like
 from repro.harness import build_sketch
 from repro.tsio.validation import SlidingSpec
@@ -23,6 +25,14 @@ def X():
 @pytest.fixture(scope="module")
 def sketch(spark, X):
     h = build_sketch(spark, X, SPEC, block_size=5)
+    yield h
+    h.unpersist()
+
+
+@pytest.fixture(scope="module")
+def banded(spark, X):
+    """One block of all N series: a single block pair, cut into row bands."""
+    h = build_sketch(spark, X, SPEC, block_size=N)
     yield h
     h.unpersist()
 
@@ -74,3 +84,26 @@ class TestCandidateStage:
                 for w in range(SPEC.n_windows):
                     if ref[i, j, w] >= SPEC.beta:
                         assert (i, j, w) in got, "sound bound pruned a true edge"
+
+
+class TestTriangleMask:
+    """The sweep's triangle mask is the Catalyst filter, cell for cell."""
+
+    @pytest.mark.parametrize("layout", ["sketch", "banded"])
+    @pytest.mark.parametrize("pivot", [0, 7])
+    def test_mask_evaluates_exactly_the_filter_survivors(self, spark, request, layout, pivot):
+        h = request.getfixturevalue(layout)
+        corr = horizontal.pivot_matrix(h.df, SPEC, pivot)
+        assert corr.shape == (N, SPEC.n_windows)
+        assert np.isnan(corr[pivot]).all()
+        tiles = [load_pair_payload(r.payload) for r in h.df.select("payload").collect()]
+        evals = sum(sweep(t, SPEC, pivot_corr=corr).stats.evals for t in tiles)
+        survivors = horizontal.survival_fraction(spark, h.df, SPEC, pivot, N)["survivors"]
+        # every surviving non-pivot cell, plus the pivot's pairs at every window
+        assert evals == survivors + (N - 1) * SPEC.n_windows
+
+    def test_query_leaves_nothing_cached(self, spark, sketch):
+        persistent = spark.sparkContext._jsc.getPersistentRDDs
+        before = persistent().size()
+        horizontal.query(spark, sketch.df, SPEC, 2, 5).toPandas()
+        assert persistent().size() == before

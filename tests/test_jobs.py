@@ -4,15 +4,19 @@ Each job's ``main`` runs end-to-end with a small --stations override,
 reusing the session fixture via ``getOrCreate``, and must leave a
 formatted table at the requested output path. The jobs' session helper
 is also run under a real ``spark-submit``, whose JVM starts before the
-driver imports ``repro``.
+driver imports ``repro``, and in a fresh interpreter, whose JVM it
+starts with its own driver heap.
 """
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
 import pyspark
 import pytest
+
+from repro import harness
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -35,6 +39,16 @@ def probe(batches):
 
 spark = spark_session("submit-probe")
 print("WORKER_ENV", spark.range(1, numPartitions=1).mapInPandas(probe, "env string").first().env)
+spark.stop()
+"""
+
+
+# what ``python jobs/table1_query_time.py`` does before its sketch build
+HEAP_PROBE = """
+from repro.harness import spark_session
+
+spark = spark_session("heap-probe")
+print("MAX_MEMORY", spark.sparkContext._jvm.java.lang.Runtime.getRuntime().maxMemory())
 spark.stop()
 """
 
@@ -92,3 +106,21 @@ class TestSparkSubmit:
         assert out.returncode == 0, out.stderr[-3000:]
         expected = str(1 << 30)
         assert f"WORKER_ENV {expected} {expected}" in out.stdout, out.stdout[-2000:]
+
+
+class TestDriverHeap:
+    def test_python_launch_gets_driver_memory(self, tmp_path):
+        # a fresh interpreter: nothing but the helper sizes the JVM it starts
+        env = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        env["SPARK_LOCAL_IP"] = "127.0.0.1"
+        out = subprocess.run(
+            [sys.executable, "-c", HEAP_PROBE],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr[-3000:]
+        max_memory = int(re.search(r"MAX_MEMORY (\d+)", out.stdout).group(1))
+        assert harness.DRIVER_MEMORY.endswith("g")
+        assert max_memory >= int(harness.DRIVER_MEMORY[:-1]) << 30
