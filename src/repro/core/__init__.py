@@ -5,9 +5,9 @@
 - ``jumping``    — the one window sweep over a block-pair tile, shared
                    with TSUBASA (no jump rule) and horizontal pruning
                    (triangle mask), and Dangoron's Eq.-2 jump rules:
-                   evaluate → jump (binary search on the monotone bound,
-                   or its worst-case closed form) → land → re-evaluate,
-                   exactly as Fig. 2;
+                   evaluate → jump (a per-pair wake scan over the
+                   monotone bound, or its worst-case closed form) → land
+                   → re-evaluate, with Fig. 2's landings;
 - ``dangoron``   — the Spark engine: ``run_tiles``, the one tile runner
                    (mapInPandas over the cached pair sketch, Spark
                    accumulators for pruning statistics), shared with

@@ -8,10 +8,12 @@ after k slides from a window whose exact correlation is c,
 with c_i the pairwise basic-window correlations of the basic windows
 entering during the k slides. Since c_i ≤ 1, every increment
 (1 − c_i)/n_s is ≥ 0, so UB is monotone non-decreasing in k — which is
-what makes the paper's binary search well-defined. The bound is proved
-in the paper under a per-basic-window sampling assumption; it is *not*
-sound for arbitrary mean drift, which is exactly why the paper reports
-≈90% (not 100%) accuracy. The ``worst-case`` mode replaces every c_i by
+what makes the landing, the smallest k with UB(k) ≥ β, well-defined
+(the paper binary-searches for it; the exact-ci jump rule scans for it
+window by window). The bound is proved in the paper under a
+per-basic-window sampling assumption; it is *not* sound for arbitrary
+mean drift, which is exactly why the paper reports ≈90% (not 100%)
+accuracy. The ``worst-case`` mode replaces every c_i by
 its floor −1, giving UB(k) = c + 2·m·k/n_s: looser (shorter jumps) and
 independent of the pair sketch.
 
@@ -48,17 +50,22 @@ def bw_correlations(
     return np.nan_to_num(c, nan=-1.0, copy=False)
 
 
-def slack_prefix(c_bw: np.ndarray) -> np.ndarray:
+def slack_prefix(c_bw: np.ndarray, axis: int = -1) -> np.ndarray:
     """Monotone prefix G with G[b] = Σ_{i<b} (1 − c_i), leading 0.
 
     Eq. 2 rearranged: UB(k) = c + (G[a0 + m·k] − G[a0]) / n_s where a0
     indexes the first entering basic window. G is non-decreasing
-    (1 − c_i ≥ 0), so "smallest k with UB(k) ≥ β" is a binary search for
-    the first index where G reaches G[a0] + (β − c)·n_s. Shape
-    (..., n_bw + 1).
+    (1 − c_i ≥ 0), so the smallest k with UB(k) ≥ β is where G first
+    reaches G[a0] + (β − c)·n_s; the exact-ci jump rule scans for it
+    window by window. The prefix runs along the basic-window ``axis``,
+    which grows by one.
     """
-    pref = np.zeros(c_bw.shape[:-1] + (c_bw.shape[-1] + 1,), dtype=np.float64)
-    np.cumsum(1.0 - c_bw, axis=-1, out=pref[..., 1:])
+    shape = list(c_bw.shape)
+    shape[axis] += 1
+    pref = np.zeros(shape, dtype=np.float64)
+    tail = [slice(None)] * c_bw.ndim
+    tail[axis] = slice(1, None)
+    np.cumsum(1.0 - c_bw, axis=axis, out=pref[tuple(tail)])
     return pref
 
 

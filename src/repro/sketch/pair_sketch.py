@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from repro.sketch import kernels
 from repro.sketch.blocks import load_bundle
 
-PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, i_lo long, i_hi long, payload binary"
+PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, payload binary"
 _LAYOUT_COLUMNS = ["tid", "bi", "bj", "lo", "hi"]
 _LAYOUT_SCHEMA = ", ".join(f"{c} long" for c in _LAYOUT_COLUMNS)
 
@@ -97,8 +97,7 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
     and the pairwise bw covariance tensor q (ni, nj, n_bw). The centred
     raw data is *not* carried forward — after this stage every engine
     works purely from sketch statistics, as the paper's framework
-    prescribes. The frame also carries the tile's global i range
-    [i_lo, i_hi), so a (pair → tile) lookup needs no payload.
+    prescribes.
     """
     spark = blocks_df.sparkSession
     blocks = blocks_df.localCheckpoint()
@@ -138,10 +137,9 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
                 band = slice(row.lo, row.hi)
                 # a diagonal band pairs its rows only with later series
                 cols = slice(row.lo if diag else 0, None)
-                ids_i = ba["ids"][band]
                 payload = pickle.dumps(
                     {
-                        "ids_i": ids_i,
+                        "ids_i": ba["ids"][band],
                         "ids_j": bb["ids"][cols],
                         "means_i": ba["means"][band],
                         "stds_i": ba["stds"][band],
@@ -152,10 +150,8 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
                     },
                     protocol=4,
                 )
-                out.append(
-                    (row.tid, row.bi, row.bj, int(ids_i[0]), int(ids_i[-1]) + 1, payload)
-                )
-            yield pd.DataFrame(out, columns=["tid", "bi", "bj", "i_lo", "i_hi", "payload"])
+                out.append((row.tid, row.bi, row.bj, payload))
+            yield pd.DataFrame(out, columns=["tid", "bi", "bj", "payload"])
 
     return tiles.mapInPandas(build, schema=PAIR_BLOCK_SCHEMA)
 

@@ -118,6 +118,13 @@ class TestSlackPrefix:
         assert (g[:, 0] == 0).all()
         np.testing.assert_allclose(g[:, -1], 2.5)
 
+    def test_leading_axis_is_the_transpose(self):
+        # the exact-ci rule's layout: one contiguous row per basic-window boundary
+        c = np.random.default_rng(4).uniform(-1, 1, size=(6, 20))
+        g = bounds.slack_prefix(c.T, axis=0)
+        assert g.shape == (21, 6) and g.flags.c_contiguous
+        np.testing.assert_array_equal(g, bounds.slack_prefix(c).T)
+
 
 class TestTemporalBound:
     def test_monotone_in_k(self):

@@ -1,14 +1,18 @@
 """The frontier (jumping) kernel against exhaustive evaluation."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.tsubasa import eval_tile_full
+from repro.core import bounds
 from repro.core.jumping import frontier_query
 from repro.sketch import kernels
+from repro.sketch.pair_sketch import pair_tile_arrays
 from repro.synth_data import ar1_matrix, uscrn_like
 from repro.tomborg.generator import generate_drifting
 from repro.tomborg.distributions import sample_target
 from repro.tsio.validation import SlidingSpec
+from tests.test_bounds import ci_prefix, temporal_upper_bound, worst_case_upper_bound
 
 
 def make_tile(X, spec):
@@ -200,3 +204,152 @@ class TestAccuracyOnRealisticData:
         got = set(zip(res.i.tolist(), res.j.tolist(), res.w.tolist()))
         recall = len(got & set(exact)) / max(len(exact), 1)
         assert recall >= 0.8
+
+
+# ---------------------------------------------------------------------------
+# Reference walker: Fig. 2, one pair and one window at a time
+# ---------------------------------------------------------------------------
+
+def walk(tile, spec, mode):
+    """Walk every pair of ``tile`` through the windows as in Fig. 2.
+
+    Each visited cell is evaluated by Eq. 1 from the tile on its own. A
+    cell ≥ β is emitted, and the pair steps to the next window; so does
+    an undefined (NaN) one. From a defined below-β cell the pair jumps
+    to the smallest k with UB(k) ≥ β, found by trying k = 1, 2, … on
+    Eq. 2 directly (``ci_prefix`` sums of the entering c_i, or c_i = −1
+    for worst-case); if no k within the range qualifies, the pair is
+    done. Returns the edges as a frame sorted by (i, j, w), the counters,
+    and the number of jumps whose landing bound equals β exactly.
+    """
+    pi, pj, rows = pair_tile_arrays(tile)
+    terms = kernels.tile_terms(tile, spec)
+    n_bw = tile["q"].shape[2]
+    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"]).reshape(-1, n_bw)
+    n_s, m, n_w, beta = spec.n_s, spec.m, spec.n_windows, spec.beta
+    edges, ties = [], 0
+    stats = {"evals": 0, "jumps": 0, "jump_lengths": 0, "emitted": 0}
+    for p, row in enumerate(rows.tolist()):
+        pref = ci_prefix(c_bw[row])
+        w = 0
+        while w < n_w:
+            c = float(kernels.eval_at_window(terms, np.array([row]), w, spec)[0])
+            stats["evals"] += 1
+            if c >= beta:
+                edges.append((tile["ids_i"][pi[p]], tile["ids_j"][pj[p]], w, c))
+                stats["emitted"] += 1
+            if not c < beta:
+                w += 1
+                continue
+            a0 = spec.bw0 + w * m + n_s  # first basic window entering after w
+            k = 1
+            while k < n_w - w:
+                if mode == "exact-ci":
+                    ub = temporal_upper_bound(c, k, m, n_s, pref[a0 + m * k] - pref[a0])
+                else:
+                    ub = worst_case_upper_bound(c, k, m, n_s)
+                if ub >= beta:
+                    ties += ub == beta
+                    break
+                k += 1
+            if k > 1:
+                stats["jumps"] += 1
+                stats["jump_lengths"] += k - 1
+            w += k
+    frame = pd.DataFrame(edges, columns=["i", "j", "w", "corr"]).astype(
+        {"i": np.int64, "j": np.int64, "w": np.int64}
+    )
+    return frame.sort_values(["i", "j", "w"], ignore_index=True), stats, ties
+
+
+def assert_sweep_walks(tile, spec, mode):
+    """The sweep's edges and counters equal the walker's; returns the walk."""
+    res = frontier_query(tile, spec, mode)
+    edges, stats, ties = walk(tile, spec, mode)
+    got = res.frame().sort_values(["i", "j", "w"], ignore_index=True)
+    pd.testing.assert_frame_equal(got, edges, check_exact=True)
+    assert {k: getattr(res.stats, k) for k in stats} == stats
+    return edges, stats, ties
+
+
+def make_band(X, lo, hi, spec):
+    """Rows [lo, hi) of a diagonal tile, paired with the series from lo on."""
+    tile = make_tile(X, spec)
+    return {
+        "ids_i": tile["ids_i"][lo:hi], "ids_j": tile["ids_j"][lo:],
+        "means_i": tile["means_i"][lo:hi], "stds_i": tile["stds_i"][lo:hi],
+        "means_j": tile["means_j"][lo:], "stds_j": tile["stds_j"][lo:],
+        "q": tile["q"][lo:hi, lo:], "diag": True,
+    }
+
+
+def dyadic_tile(n, n_bw, seed):
+    """A diagonal tile whose Eq.-1 and Eq.-2 arithmetic is exact.
+
+    Zero means and unit stds make each basic-window covariance its c_i,
+    and every c_i is one of −1, −½, 0, ½, 1, so with n_s a power of two
+    correlations, bounds and slack prefixes are short dyadic fractions:
+    a bound that equals β in exact arithmetic equals it in floating
+    point too, on both the sweep's side and the walker's. Basic windows
+    10–19 have c_i = 1, where G is flat.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n, n_bw))
+    q[:, :, 10:20] = 1.0
+    ids = np.arange(n, dtype=np.int64)
+    zeros, ones = np.zeros((n, n_bw)), np.ones((n, n_bw))
+    return {
+        "ids_i": ids, "ids_j": ids, "means_i": zeros, "stds_i": ones,
+        "means_j": zeros, "stds_j": ones, "q": q, "diag": True,
+    }
+
+
+MODES = ["exact-ci", "worst-case"]
+
+
+class TestSweepMatchesReferenceWalker:
+    """Edges, evaluations and jumps of the sweep equal a per-pair walk of Fig. 2."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_diagonal_tile(self, ar_case, mode):
+        X, spec, tile, _ = ar_case
+        _, stats, _ = assert_sweep_walks(tile, spec, mode)
+        assert stats["jumps"] > 0 and stats["emitted"] > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_off_diagonal_tile(self, mode):
+        X = ar1_matrix(n=9, length=360, seed=21)
+        spec = SlidingSpec(start=0, end=360, window=72, step=12, beta=0.3, bw=12)
+        assert_sweep_walks(make_cross_tile(X, 4, spec), spec, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_banded_tiles(self, ar_case, mode):
+        X, spec, _, _ = ar_case
+        for lo, hi in ((0, 3), (3, 5), (5, 8)):
+            assert_sweep_walks(make_band(X, lo, hi, spec), spec, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_constant_series_nan_windows(self, mode):
+        X = ar1_matrix(n=6, length=360, seed=22)
+        X[2] = 5.0          # undefined at every window
+        X[4, 96:240] = -1.0  # undefined at the windows inside the stretch
+        spec = SlidingSpec(start=0, end=360, window=72, step=12, beta=0.3, bw=12)
+        ref = kernels.exact_window_corr(X, spec)
+        assert np.isnan(ref[0, 4]).any() and np.isnan(ref[0, 2]).all()
+        assert_sweep_walks(make_tile(X, spec), spec, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_basic_windows_per_step(self, mode):
+        X = ar1_matrix(n=7, length=480, seed=23)
+        spec = SlidingSpec(start=24, end=480, window=96, step=24, beta=0.35, bw=12)
+        assert spec.m == 2 and spec.bw0 == 2
+        _, stats, _ = assert_sweep_walks(make_tile(X, spec), spec, mode)
+        assert stats["jumps"] > 0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_flat_slack_and_exact_ties(self, mode, m):
+        tile = dyadic_tile(n=7, n_bw=48, seed=24 + m)
+        spec = SlidingSpec(start=0, end=48, window=4, step=m, beta=0.5, bw=1)
+        _, stats, ties = assert_sweep_walks(tile, spec, mode)
+        assert ties > 0 and stats["jumps"] > 0

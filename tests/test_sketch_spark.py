@@ -146,7 +146,6 @@ class TestPairBlockSketch:
             seen = set()
             for _, row in sketch_tiles(spark, X, block_size).iterrows():
                 t = load_pair_payload(row["payload"])
-                assert (row["i_lo"], row["i_hi"]) == (t["ids_i"][0], t["ids_i"][-1] + 1)
                 pi, pj, _ = pair_tile_arrays(t)
                 for key in zip(t["ids_i"][pi], t["ids_j"][pj]):
                     assert key[0] < key[1]
