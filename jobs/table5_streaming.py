@@ -13,20 +13,14 @@ def main(argv=None) -> None:
     p.add_argument("--out", default="results/table5.txt")
     args = p.parse_args(argv)
 
-    import pandas as pd
-
     from repro import experiments
     from repro.harness import save_table, spark_session
 
     spark = spark_session("table5-streaming")
     with tempfile.TemporaryDirectory() as workdir:
-        rows, meta, store, rebuild = experiments.run_table5(spark, workdir)
-        # correctness: the incrementally-maintained store must equal the
-        # rebuilt one exactly
-        a = store.series_sketch().round(9)
-        b = rebuild.series_sketch().round(9)
-        meta["store_matches"] = a.equals(b)
-        pd.testing.assert_frame_equal(a, b)
+        # run_table5 raises unless the streamed store equals the rebuilt one
+        rows, meta = experiments.run_table5(spark, workdir)
+    assert meta["store_matches"]
     text = experiments.table_text(5, rows, meta)
     print(text)
     save_table(text, args.out)

@@ -1,9 +1,10 @@
 """Serving sliding correlation queries from the streaming sketch store.
 
-The store's mergeable sums are assembled into one in-memory tile (the
-same structure the block-pair engines consume), so both the exact
-evaluator and Dangoron's frontier run unchanged on streamed state —
-construction *and* updates share one query path.
+The store's mergeable sums are held in the tile's own layout, so a few
+array operations turn them into one in-memory tile (the structure the
+block-pair engines consume). Both the exact evaluator and Dangoron's
+frontier run unchanged on streamed state — construction *and* updates
+share one query path.
 """
 from __future__ import annotations
 
@@ -18,45 +19,34 @@ from repro.tsio.validation import SlidingSpec
 def store_to_tile(store: SketchStore) -> dict:
     """Assemble the store into a single (diagonal) sketch tile.
 
-    Requires a dense store: every series has every basic window, each
-    basic window is full (``bw`` timesteps) and the pair store covers
+    Requires a dense store: every series has every basic window and each
+    basic window is full (``bw`` timesteps); the pair sums then cover
     all i < j (guaranteed when ingestion saw complete timesteps). Raises
     if the store has holes or a partially filled basic window, whose
     statistics would stand in for the whole window.
     """
-    s = store.series_sketch()
-    ids = np.sort(s["series_id"].unique()).astype(np.int64)
-    bws = np.sort(s["bw_id"].unique()).astype(np.int64)
-    n, nb = len(ids), len(bws)
-    if len(s) != n * nb:
+    ids, cnt, s1, sxy = store.sorted_sums()
+    has = cnt > 0
+    rows, n, nb = int(has.sum()), len(ids), int(has.any(axis=0).sum())
+    if rows != n * nb:
         raise ValueError(
-            f"sketch store is ragged: {len(s)} rows != {n} series × {nb} bws"
+            f"sketch store is ragged: {rows} rows != {n} series × {nb} bws"
         )
-    if not np.array_equal(bws, np.arange(nb)):
+    if nb != cnt.shape[1]:
         raise ValueError("store must cover contiguous basic windows from 0")
-    cnt = s["cnt"].to_numpy().reshape(n, nb)
     short = np.argwhere(cnt != store.bw)
     if len(short):
         k, b = short[0]
         raise ValueError(
-            f"series {ids[k]} has {cnt[k, b]} timesteps in basic window {bws[b]}, "
+            f"series {ids[k]} has {cnt[k, b]} timesteps in basic window {b}, "
             f"expected {store.bw}; query only full basic windows"
         )
-    s1 = s["s1"].to_numpy().reshape(n, nb)
-    s2 = s["s2"].to_numpy().reshape(n, nb)
     means = s1 / cnt
-    var = np.clip(s2 / cnt - means * means, 0.0, None)
+    q = sxy / cnt[:, None, :] - means[:, None, :] * means[None, :, :]
+    d = np.arange(n)
+    var = np.clip(sxy[d, d] / cnt - means * means, 0.0, None)
+    q[d, d] = var
     stds = np.sqrt(var)
-
-    p = store.pair_sketch()
-    q = np.zeros((n, n, nb))
-    pos = {int(g): k for k, g in enumerate(ids)}
-    li = p["i"].map(pos).to_numpy()
-    lj = p["j"].map(pos).to_numpy()
-    lb = p["bw_id"].to_numpy()
-    q[li, lj, lb] = p["q"].to_numpy()
-    q[lj, li, lb] = p["q"].to_numpy()
-    q[np.arange(n)[:, None], np.arange(n)[:, None], np.arange(nb)[None, :]] = var
     return {
         "ids_i": ids,
         "ids_j": ids,

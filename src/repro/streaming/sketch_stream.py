@@ -1,15 +1,19 @@
 """Streaming maintenance of the basic-window sketch store.
 
-The store keeps mergeable sums only:
+The store keeps mergeable sums only, as dense arrays in the sketch
+tile's own layout:
 
-- series store: (series_id, bw_id) → cnt, Σx, Σx²;
-- pair store:   (i, j, bw_id)      → Σ x·y   (i < j).
+- ``ids`` (n,)            — series ids, in arrival order;
+- ``cnt``, ``s1`` (n, n_bw) — count and Σx per series and basic window;
+- ``sxy`` (n, n, n_bw)      — Σ x·y per pair and basic window; its
+  diagonal is Σx².
 
-Derived statistics (mean, std, per-bw covariance q) are computed at
-query time from the sums, so any batching of the input rows yields the
-same store — the tests check a streamed store against numpy sums. The
-``foreachBatch`` upsert is the production idiom for merge-into-store
-sinks (a Delta/JDBC MERGE in a real deployment; local parquet here).
+A batch is folded in by addition, so any batching of the input rows
+yields the same store — the tests check a streamed store against numpy
+sums. Derived statistics (mean, std, per-bw covariance q) are computed
+at query time from the sums. The ``foreachBatch`` upsert is the
+production idiom for merge-into-store sinks (a Delta/JDBC MERGE in a
+real deployment; one local ``.npz`` file here).
 """
 from __future__ import annotations
 
@@ -24,120 +28,118 @@ from repro.tsio.matrix import LONG_SCHEMA
 
 
 class SketchStore:
-    """Mergeable basic-window sketch sums, persisted as parquet."""
+    """Mergeable basic-window sketch sums, persisted as one npz file."""
 
     def __init__(self, path: str, bw: int):
         self.path = path
         self.bw = bw
         os.makedirs(path, exist_ok=True)
-        self._series = pd.DataFrame(
-            columns=["series_id", "bw_id", "cnt", "s1", "s2"]
-        ).astype({"series_id": "int64", "bw_id": "int64", "cnt": "int64",
-                  "s1": "float64", "s2": "float64"})
-        self._pairs = pd.DataFrame(
-            columns=["i", "j", "bw_id", "sxy"]
-        ).astype({"i": "int64", "j": "int64", "bw_id": "int64", "sxy": "float64"})
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.cnt = np.zeros((0, 0), dtype=np.int64)
+        self.s1 = np.zeros((0, 0))
+        self.sxy = np.zeros((0, 0, 0))
         self.batches_applied = 0
 
     # -- ingestion ---------------------------------------------------------
 
     def apply_batch(self, pdf: pd.DataFrame) -> None:
-        """Fold one micro-batch of long rows (series_id, t, value) in."""
+        """Fold one micro-batch of long rows (series_id, t, value) in.
+
+        The batch must carry complete timesteps (every known series
+        present for each t it contains) — the synchronized-series
+        assumption; arrival order across batches is free. A rejected
+        batch leaves the store untouched.
+        """
         if len(pdf) == 0:
             return
-        bad = ~np.isfinite(pdf["value"].to_numpy(dtype=np.float64))
+        sid = pdf["series_id"].to_numpy(dtype=np.int64)
+        t = pdf["t"].to_numpy(dtype=np.int64)
+        value = pdf["value"].to_numpy(dtype=np.float64)
+        bad = ~np.isfinite(value)
         if bad.any():
             r = pdf[bad].sort_values(["series_id", "t"]).iloc[0]
             raise ValueError(
                 f"series {int(r['series_id'])} has a non-finite value ({r['value']}) "
                 f"at t={int(r['t'])}; fill or drop it before streaming"
             )
-        pdf = pdf.copy()
-        pdf["bw_id"] = pdf["t"] // self.bw
-        # validate + fold pairs first so a rejected batch leaves the
-        # series store untouched (no partial commit)
-        self._apply_pair_batch(pdf)
-        part = pdf.groupby(["series_id", "bw_id"], as_index=False).agg(
-            cnt=("value", "size"),
-            s1=("value", "sum"),
-            s2=("value", lambda v: float((v * v).sum())),
-        )
-        self._series = (
-            pd.concat([self._series, part], ignore_index=True)
-            .groupby(["series_id", "bw_id"], as_index=False)[["cnt", "s1", "s2"]]
-            .sum()
-        )
-        self.batches_applied += 1
-
-    def _apply_pair_batch(self, pdf: pd.DataFrame) -> None:
-        """Pairwise Σxy per basic window for the batch's timesteps.
-
-        Requires the batch to carry complete timesteps (every series
-        present for each t it contains) — the synchronized-series
-        assumption; arrival order across batches is free.
-        """
-        wide = pdf.pivot_table(index="t", columns="series_id", values="value")
-        known = set(self._series["series_id"].unique()) | set(wide.columns)
-        if wide.isna().any().any() or len(wide.columns) != len(known):
+        dup = pdf.duplicated(["series_id", "t"]).to_numpy()
+        if dup.any():
+            k = int(dup.argmax())
+            raise ValueError(
+                f"series {sid[k]} has more than one row at t={t[k]}; "
+                "deduplicate the batch before streaming"
+            )
+        ts, row = np.unique(t, return_inverse=True)
+        if ts[0] < 0:
+            raise ValueError(
+                f"t={ts[0]} is negative; the store's basic windows start at t=0"
+            )
+        new = np.setdiff1d(sid, self.ids)
+        ids = np.concatenate([self.ids, new])
+        wide = np.full((len(ts), len(ids)), np.nan)
+        wide[row, pd.Index(ids).get_indexer(sid)] = value
+        if np.isnan(wide).any():
             raise ValueError(
                 "pair maintenance needs complete timesteps per batch; "
                 "got a partial cross-section (a series is missing for some t)"
             )
-        ids = wide.columns.to_numpy().astype(np.int64)
-        t_idx = wide.index.to_numpy()
-        bw_ids = np.unique(t_idx // self.bw)
-        parts = []
-        iu, ju = np.triu_indices(len(ids), k=1)
-        for b in bw_ids:
-            rows = wide.to_numpy()[(t_idx // self.bw) == b]
-            sxy = rows.T @ rows
-            parts.append(
-                pd.DataFrame(
-                    {
-                        "i": ids[iu],
-                        "j": ids[ju],
-                        "bw_id": np.int64(b),
-                        "sxy": sxy[iu, ju],
-                    }
-                )
-            )
-        self._pairs = (
-            pd.concat([self._pairs, *parts], ignore_index=True)
-            .groupby(["i", "j", "bw_id"], as_index=False)[["sxy"]]
-            .sum()
-        )
+
+        bws = ts // self.bw
+        dn, db = len(new), max(0, int(bws[-1]) + 1 - self.cnt.shape[1])
+        if dn or db:
+            self.ids = ids
+            self.cnt = np.pad(self.cnt, ((0, dn), (0, db)))
+            self.s1 = np.pad(self.s1, ((0, dn), (0, db)))
+            self.sxy = np.pad(self.sxy, ((0, dn), (0, dn), (0, db)))
+        ub, first = np.unique(bws, return_index=True)
+        for b, rows in zip(ub, np.split(wide, first[1:])):
+            self.cnt[:, b] += len(rows)
+            self.s1[:, b] += rows.sum(axis=0)
+            self.sxy[:, :, b] += rows.T @ rows
+        self.batches_applied += 1
 
     # -- derived views -----------------------------------------------------
 
+    def sorted_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, cnt, s1, sxy) with the series ordered by id."""
+        o = np.argsort(self.ids)
+        return self.ids[o], self.cnt[o], self.s1[o], self.sxy[np.ix_(o, o)]
+
     def series_sketch(self) -> pd.DataFrame:
         """(series_id, bw_id, cnt, s1, s2), one row per series and basic window."""
-        return self._series.sort_values(["series_id", "bw_id"]).reset_index(drop=True)
+        ids, cnt, s1, sxy = self.sorted_sums()
+        k, b = np.nonzero(cnt)
+        return pd.DataFrame({
+            "series_id": ids[k],
+            "bw_id": b.astype(np.int64),
+            "cnt": cnt[k, b],
+            "s1": s1[k, b],
+            "s2": sxy[k, k, b],
+        })
 
     def pair_sketch(self) -> pd.DataFrame:
-        """(i, j, bw_id, q) with q the per-bw population covariance."""
-        s = self._series.rename(columns={"series_id": "sid"})
-        p = self._pairs.merge(
-            s.rename(columns={"sid": "i", "cnt": "cnt_i", "s1": "s1_i", "s2": "s2_i"}),
-            on=["i", "bw_id"],
-        ).merge(
-            s.rename(columns={"sid": "j", "cnt": "cnt_j", "s1": "s1_j", "s2": "s2_j"}),
-            on=["j", "bw_id"],
-        )
-        cnt = p["cnt_i"]
-        q = p["sxy"] / cnt - (p["s1_i"] / cnt) * (p["s1_j"] / cnt)
-        out = p[["i", "j", "bw_id"]].copy()
-        out["q"] = q
-        return out.sort_values(["i", "j", "bw_id"]).reset_index(drop=True)
+        """(i, j, bw_id, q) with q the per-bw population covariance (i < j)."""
+        ids, cnt, s1, sxy = self.sorted_sums()
+        iu, ju = np.triu_indices(len(ids), k=1)
+        p, b = np.nonzero((cnt[iu] > 0) & (cnt[ju] > 0))
+        i, j = iu[p], ju[p]
+        c = cnt[i, b]
+        return pd.DataFrame({
+            "i": ids[i],
+            "j": ids[j],
+            "bw_id": b.astype(np.int64),
+            "q": sxy[i, j, b] / c - (s1[i, b] / c) * (s1[j, b] / c),
+        })
 
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
-        self._series.to_parquet(os.path.join(self.path, "series.parquet"))
-        self._pairs.to_parquet(os.path.join(self.path, "pairs.parquet"))
+        np.savez(os.path.join(self.path, "store.npz"),
+                 ids=self.ids, cnt=self.cnt, s1=self.s1, sxy=self.sxy)
 
     def load(self) -> "SketchStore":
-        self._series = pd.read_parquet(os.path.join(self.path, "series.parquet"))
-        self._pairs = pd.read_parquet(os.path.join(self.path, "pairs.parquet"))
+        with np.load(os.path.join(self.path, "store.npz")) as z:
+            self.ids, self.cnt, self.s1, self.sxy = z["ids"], z["cnt"], z["s1"], z["sxy"]
         return self
 
 
@@ -166,4 +168,3 @@ def run_stream(
         .start()
     )
     q.awaitTermination()
-

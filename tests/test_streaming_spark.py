@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import tsubasa
+from repro.core import jumping
 from repro.harness import build_sketch
 from repro.sketch import kernels
 from repro.streaming.query import query_dangoron, store_to_tile
@@ -64,14 +67,19 @@ class TestForeachBatchStore:
         for r in pdf.itertuples():
             assert r.q == pytest.approx(q[r.i, r.j, r.bw_id], abs=1e-9)
 
-    def test_dangoron_on_store_matches_batch_engine(self, spark, store, X):
-        streamed = query_dangoron(store, SPEC, "worst-case")
+    @pytest.fixture(scope="class")
+    def batch_edges(self, spark, X):
+        """TSUBASA's edges on the batch-built block-pair sketch."""
         h = build_sketch(spark, X, SPEC, block_size=4)
-        batch = tsubasa.query(h.df, SPEC).toPandas()
+        edges = tsubasa.query(h.df, SPEC).toPandas()
         h.unpersist()
+        return edges.sort_values(["i", "j", "w"]).reset_index(drop=True)
+
+    def test_dangoron_on_store_matches_batch_engine(self, store, batch_edges):
+        streamed = query_dangoron(store, SPEC, "worst-case")
         key = ["i", "j", "w"]
         s = streamed.sort_values(key).reset_index(drop=True)
-        b = batch.sort_values(key).reset_index(drop=True)
+        b = batch_edges
         # worst-case Dangoron may skip (miss) some cells; it must never
         # invent cells, and shared cells must agree exactly
         sk = set(map(tuple, s[key].to_numpy()))
@@ -80,6 +88,16 @@ class TestForeachBatchStore:
         assert len(sk) >= 0.8 * len(bk)
         merged = s.merge(b, on=key, suffixes=("_s", "_b"))
         np.testing.assert_allclose(merged["corr_s"], merged["corr_b"], atol=1e-9)
+
+    def test_full_sweep_on_store_equals_batch_engine(self, store, batch_edges):
+        # no rule: every cell evaluated, so the edge sets must be equal
+        key = ["i", "j", "w"]
+        got = jumping.sweep(store_to_tile(store), SPEC).frame()
+        got = got.sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            got[key].astype("int64"), batch_edges[key].astype("int64")
+        )
+        np.testing.assert_allclose(got["corr"], batch_edges["corr"], rtol=0, atol=1e-9)
 
     def test_incremental_append_extends_store(self, spark, store, X, tmp_path_factory):
         # stream 2 more days for the same series; store grows, old bws intact
@@ -101,6 +119,36 @@ class TestForeachBatchStore:
         if N > 1:
             with pytest.raises(ValueError, match="complete timesteps"):
                 store.apply_batch(bad)
+
+
+class TestBatchingInvariance:
+    """A streamed store equals a batch-built one, whatever the batching."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, X, tmp_path_factory):
+        store = SketchStore(str(tmp_path_factory.mktemp("one-batch")), bw=SPEC.bw)
+        store.apply_batch(to_long_pdf(X))
+        return store_to_tile(store)
+
+    @given(
+        cuts=st.lists(st.integers(1, L - 1), max_size=12, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_and_order(self, X, tmp_path_factory, reference, cuts, data):
+        pdf = to_long_pdf(X)
+        bounds = [0, *sorted(cuts), L]
+        parts = [pdf[(pdf["t"] >= lo) & (pdf["t"] < hi)] for lo, hi in zip(bounds, bounds[1:])]
+        store = SketchStore(str(tmp_path_factory.getbasetemp()), bw=SPEC.bw)
+        for k in data.draw(st.permutations(range(len(parts)))):
+            store.apply_batch(parts[k])
+        tile = store_to_tile(store)
+        means, stds = kernels.bw_means_stds(X, SPEC.bw)
+        xc = kernels.bw_centered(X, SPEC.bw)
+        for key, want in (("means_i", means), ("stds_i", stds),
+                          ("q", kernels.pair_bw_cov(xc, xc))):
+            np.testing.assert_allclose(tile[key], reference[key], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(tile[key], want, rtol=0, atol=1e-9)
 
 
 class TestStoreAssembly:
@@ -151,3 +199,21 @@ class TestStoreAssembly:
             store.apply_batch(pdf)
         # rejected before any fold: the store is still empty
         assert len(store.series_sketch()) == 0 and len(store.pair_sketch()) == 0
+
+    def test_duplicate_row_rejected(self, X, tmp_path_factory):
+        store = SketchStore(str(tmp_path_factory.mktemp("dup")), bw=SPEC.bw)
+        pdf = to_long_pdf(X[:, :48])
+        pdf = pd.concat([pdf, pdf[(pdf["series_id"] == 2) & (pdf["t"] == 5)]])
+        with pytest.raises(ValueError, match="series 2 has more than one row at t=5"):
+            store.apply_batch(pdf)
+        # rejected before any fold: the store is still empty
+        assert len(store.series_sketch()) == 0 and len(store.pair_sketch()) == 0
+
+    def test_negative_timestep_rejected(self, X, tmp_path_factory):
+        # a negative basic-window index would wrap onto the last window
+        store = SketchStore(str(tmp_path_factory.mktemp("negative")), bw=SPEC.bw)
+        pdf = to_long_pdf(X[:, :48])
+        pdf["t"] -= 30
+        with pytest.raises(ValueError, match="t=-30 is negative"):
+            store.apply_batch(pdf)
+        assert len(store.series_sketch()) == 0
