@@ -7,7 +7,9 @@
                    Dangoron's tile runner, window sweep and evaluator
                    with no jump rule;
 - ``naive``      — exact correlation from raw values per window, no
-                   sketch reuse at all;
+                   sketch reuse at all; its ``run_windows`` runs every
+                   raw-data engine (naive, parcorr, statstream) as a
+                   per-window ``cells`` function;
 - ``parcorr``    — ParCorr-style random-projection estimates (the
                    accuracy comparator in §4);
 - ``statstream`` — StatStream-style truncated-frequency estimates, the

@@ -8,34 +8,48 @@ above 90 percent, comparable to Parcorr"), so this reproduction keeps
 the estimator faithful (same R across windows, as ParCorr's incremental
 scheme requires) without its incremental-update machinery.
 
-Work is distributed over windows: broadcast matrix, Arrow kernel per
-window partition, estimates ≥ β emitted as candidate edges.
+The query runs ``cells`` on every window through ``naive.run_windows``
+(broadcast matrix, one Arrow kernel per window partition) and emits the
+estimates ≥ β as edges.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.dangoron import CELLS_SCHEMA
+from repro.baselines.naive import Cells, run_windows
+from repro.sketch import kernels
 from repro.tsio.validation import SlidingSpec
 
 
-def sketch_window(seg: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Project each row's normalised window vector: (N, l) -> (N, d)."""
-    segc = seg - seg.mean(axis=1, keepdims=True)
-    norms = np.sqrt((segc * segc).sum(axis=1, keepdims=True))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(norms > 0, segc / norms, 0.0)
-    return unit @ r.T / np.sqrt(r.shape[0])
-
-
 def estimate_window(seg: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Estimated all-pairs correlation matrix of one window."""
-    s = sketch_window(seg, r)
+    """Estimated all-pairs correlation matrix of one window.
+
+    Projects each row's unit window vector on the d rows of ``r``; NaN
+    where a row is constant (correlation undefined).
+    """
+    s = kernels.unit_rows(seg) @ r.T / np.sqrt(r.shape[0])
     return s @ s.T
+
+
+def cells(
+    spec: SlidingSpec, d: int, seed: int, verify: bool, margin: float | None
+) -> Cells:
+    """ParCorr's per-window cells for ``run_windows`` (see ``query``)."""
+    # The same projection matrix for every window, deterministic in
+    # (seed, d, l), as ParCorr's shared sketches require.
+    r = np.random.default_rng(seed).normal(size=(d, spec.window))
+    if not verify:
+        return lambda seg, iu, ju: (iu, ju, estimate_window(seg, r)[iu, ju])
+    lo = spec.beta - ((2.0 / np.sqrt(d)) if margin is None else margin)
+
+    def verified(seg, iu, ju):
+        cand = estimate_window(seg, r)[iu, ju] >= lo
+        ci, cj = iu[cand], ju[cand]
+        unit = kernels.unit_rows(seg)
+        return ci, cj, (unit[ci] * unit[cj]).sum(axis=1)
+
+    return verified
 
 
 def query(
@@ -52,52 +66,8 @@ def query(
     ``verify=False`` emits the raw estimates ≥ β (sketch-only accuracy).
     ``verify=True`` runs ParCorr's full pipeline: sketches generate
     *candidates* with est ≥ β − margin (default margin 2/√d ≈ two JL
-    standard deviations), candidates are verified with the exact
-    correlation, and only true edges (exact ≥ β) are emitted — precision
-    1 by construction, recall limited by candidate generation.
+    standard deviations), only the candidates are verified with the
+    exact correlation, and only true edges (exact ≥ β) are emitted —
+    precision 1 by construction, recall limited by candidate generation.
     """
-    spec.validate_against(X.shape[1])
-    bc = spark.sparkContext.broadcast(X)
-    beta, window = spec.beta, spec.window
-    eps = (2.0 / np.sqrt(d)) if margin is None else margin
-    wins = spark.range(spec.n_windows).toDF("w")
-
-    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        xm = bc.value
-        # Same projection matrix on every task/window — deterministic in
-        # (seed, d, l), as ParCorr's shared sketches require.
-        r = np.random.default_rng(seed).normal(size=(d, window))
-        iu, ju = np.triu_indices(xm.shape[0], k=1)
-        for pdf in it:
-            for w in pdf["w"].to_numpy():
-                ws, we = spec.window_t_range(int(w))
-                seg = xm[:, ws:we]
-                est = estimate_window(seg, r)
-                vals = est[iu, ju]
-                if not verify:
-                    keep = vals >= beta
-                    out_v = vals[keep]
-                else:
-                    cand = vals >= beta - eps
-                    ci, cj = iu[cand], ju[cand]
-                    segc = seg - seg.mean(axis=1, keepdims=True)
-                    norms = np.sqrt((segc * segc).sum(axis=1, keepdims=True))
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        unit = np.where(norms > 0, segc / norms, 0.0)
-                    exact = (unit[ci] * unit[cj]).sum(axis=1)
-                    sub = exact >= beta
-                    keep = np.zeros_like(cand)
-                    keep[np.flatnonzero(cand)[sub]] = True
-                    out_v = exact[sub]
-                yield pd.DataFrame(
-                    {
-                        "i": iu[keep].astype(np.int64),
-                        "j": ju[keep].astype(np.int64),
-                        "w": np.full(int(keep.sum()), w, dtype=np.int64),
-                        "corr": out_v,
-                    }
-                )
-
-    return wins.repartition(min(spec.n_windows, 64)).mapInPandas(
-        run, schema=CELLS_SCHEMA
-    )
+    return run_windows(spark, X, spec, cells(spec, d, seed, verify, margin))

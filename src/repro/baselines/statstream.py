@@ -13,25 +13,27 @@ vectors, i.e. the exact correlation minus the discarded tail energy.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.dangoron import CELLS_SCHEMA
+from repro.baselines.naive import Cells, run_windows
+from repro.sketch import kernels
 from repro.tomborg.spectra import real_dft
 from repro.tsio.validation import SlidingSpec
 
 
 def estimate_window(seg: np.ndarray, n_coef: int) -> np.ndarray:
-    """Estimated all-pairs correlation of one window from ``n_coef`` coefficients."""
-    segc = seg - seg.mean(axis=1, keepdims=True)
-    norms = np.sqrt((segc * segc).sum(axis=1, keepdims=True))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(norms > 0, segc / norms, 0.0)
-    coef = real_dft(unit)[:, :n_coef]
+    """Estimated all-pairs correlation of one window from ``n_coef`` coefficients.
+
+    NaN where a row is constant (correlation undefined).
+    """
+    coef = real_dft(kernels.unit_rows(seg))[:, :n_coef]
     return coef @ coef.T
+
+
+def cells(n_coef: int) -> Cells:
+    """StatStream's per-window cells for ``run_windows``."""
+    return lambda seg, iu, ju: (iu, ju, estimate_window(seg, n_coef)[iu, ju])
 
 
 def query(
@@ -41,29 +43,4 @@ def query(
     n_coef: int = 16,
 ) -> DataFrame:
     """Estimated network edges via truncated-frequency sketches."""
-    spec.validate_against(X.shape[1])
-    bc = spark.sparkContext.broadcast(X)
-    beta = spec.beta
-    wins = spark.range(spec.n_windows).toDF("w")
-
-    def run(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        xm = bc.value
-        iu, ju = np.triu_indices(xm.shape[0], k=1)
-        for pdf in it:
-            for w in pdf["w"].to_numpy():
-                ws, we = spec.window_t_range(int(w))
-                est = estimate_window(xm[:, ws:we], n_coef)
-                vals = est[iu, ju]
-                keep = vals >= beta
-                yield pd.DataFrame(
-                    {
-                        "i": iu[keep].astype(np.int64),
-                        "j": ju[keep].astype(np.int64),
-                        "w": np.full(int(keep.sum()), w, dtype=np.int64),
-                        "corr": vals[keep],
-                    }
-                )
-
-    return wins.repartition(min(spec.n_windows, 64)).mapInPandas(
-        run, schema=CELLS_SCHEMA
-    )
+    return run_windows(spark, X, spec, cells(n_coef))

@@ -14,8 +14,10 @@ matrix is PSD). The query runs in two passes of the one tile runner:
 The pivot's own row of P is NaN, and a NaN bound never masks, so pairs
 containing the pivot are evaluated at every window. Because the bound
 is sound, the output is identical to the unpruned exact engines.
-``candidate_cells`` states the same filter as a Catalyst self-join; it
-counts Table 4's survivors.
+``candidate_cells`` states the same filter as a Catalyst self-join, the
+reference the tests hold the mask to. Table 4 reads the survivors from
+the masked sweep's own counters: every evaluation except the pivot's
+(N − 1)·W cells is a survivor.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.dangoron import run_tiles
+from repro.core.dangoron import StatsAccumulators, run_tiles
 from repro.core.jumping import TileResult, sweep
 from repro.sketch import kernels
 from repro.tsio.validation import SlidingSpec
@@ -118,31 +120,18 @@ def query(
     spec: SlidingSpec,
     pivot: int,
     block_size: int,
+    stats: StatsAccumulators | None = None,
 ) -> DataFrame:
     """Full horizontally-pruned query: pivot stage, then the masked sweep.
 
     Runs the pivot stage at once (one Spark job) and returns the edges
     (i, j, w, corr ≥ β) of the window sweep with the triangle mask, the
-    same edge set as the exact engines. ``spark`` and ``block_size`` are
-    no longer read; they stay in the signature for positional callers.
+    same edge set as the exact engines. ``stats`` collects the masked
+    sweep's counters (not the pivot stage's). ``spark`` and
+    ``block_size`` are no longer read; they stay in the signature for
+    positional callers.
     """
     corr = pivot_matrix(pair_sketch_df, spec, pivot)
-    return run_tiles(pair_sketch_df, lambda tile: sweep(tile, spec, pivot_corr=corr))
-
-
-def survival_fraction(
-    spark: SparkSession, pair_sketch_df: DataFrame, spec: SlidingSpec,
-    pivot: int, n_series: int,
-) -> dict:
-    """Measure the filter's pruning power (Table 4): survivors / total cells."""
-    pivot_df = pivot_correlations(pair_sketch_df, spec, pivot).cache()
-    survivors = candidate_cells(pivot_df, spec.beta).count()
-    non_pivot_pairs = (n_series - 1) * (n_series - 2) // 2
-    total = non_pivot_pairs * spec.n_windows
-    pivot_df.unpersist()
-    return {
-        "survivors": survivors,
-        "total": total,
-        "survive_fraction": survivors / total if total else 0.0,
-        "pivot_cells": (n_series - 1) * spec.n_windows,
-    }
+    return run_tiles(
+        pair_sketch_df, lambda tile: sweep(tile, spec, pivot_corr=corr), stats
+    )

@@ -77,6 +77,7 @@ T5_N = 32
 T5_INIT_DAYS = 330
 T5_APPEND_DAYS = 30
 T5_BATCHES = 5
+T5_REPS = 5  # the apply and the rebuild take milliseconds: min of several
 T5_SPEC = SlidingSpec(start=0, end=8640, window=720, step=24, beta=0.7, bw=24)
 
 
@@ -140,18 +141,21 @@ def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIO
         spec = T1_SPEC(beta)
         runs = {}
         for name, make_df in (
-            ("tsubasa", lambda s=None: tsubasa.query(handle.df, spec, s)),
-            ("dangoron", lambda s=None: dangoron.query(handle.df, spec, "exact-ci", s)),
-            ("dangoron-wc", lambda s=None: dangoron.query(handle.df, spec, "worst-case", s)),
+            ("tsubasa", lambda s: tsubasa.query(handle.df, spec, s)),
+            ("dangoron", lambda s: dangoron.query(handle.df, spec, "exact-ci", s)),
+            ("dangoron-wc", lambda s: dangoron.query(handle.df, spec, "worst-case", s)),
         ):
-            n, secs = _min_run(lambda: timed_count(make_df()), reps)
-            # extra (warm) instrumented runs for total in-kernel work;
-            # min over two for the same noise-robustness as the wall time
+            # every timed run is instrumented; in-kernel work is the min
+            # over the same runs, as the wall time is
             snaps = []
-            for _ in range(2):
+
+            def run_once():
                 stats = dangoron.StatsAccumulators(spark)
-                make_df(stats).count()
+                out = timed_count(make_df(stats))
                 snaps.append(stats.snapshot())
+                return out
+
+            n, secs = _min_run(run_once, reps)
             snap = min(snaps, key=lambda s: s["work_s"])
             runs[name] = EngineRun(name, secs, n, stats=snap)
         base = runs["tsubasa"]
@@ -210,6 +214,7 @@ def run_table2(spark: SparkSession, n_stations: int = T2_N_STATIONS):
                 "method": name,
                 "precision": m["precision"],
                 "recall": m["recall"],
+                "missed": m["n_exact"] - m["tp"],
                 "f1": m["f1"],
                 "value_mae": m["value_mae"],
                 "edges": m["n_method"],
@@ -259,6 +264,7 @@ def run_table3(spark: SparkSession, reps: int = 3):
                     "query_s": secs if secs is not None else float("nan"),
                     "f1": m["f1"],
                     "recall": m["recall"],
+                    "missed": m["n_exact"] - m["tp"],
                     "edges": m["n_method"],
                 }
             )
@@ -291,13 +297,18 @@ def run_table4(spark: SparkSession, n_stations: int = T4_N_STATIONS):
                     "probes_per_cell": s["probes"] / s["cells"],
                 }
             )
-        hz = horizontal.survival_fraction(spark, handle.df, spec, 0, n)
+        # the masked sweep evaluates the pivot's (N−1)·W cells and every
+        # non-pivot cell that survives the triangle bound
+        stats = dangoron.StatsAccumulators(spark)
+        horizontal.query(spark, handle.df, spec, 0, T4_BLOCK, stats).count()
+        survivors = stats.snapshot()["evals"] - (n - 1) * spec.n_windows
+        survive = survivors / ((n - 1) * (n - 2) // 2 * spec.n_windows)
         rows.append(
             {
                 "beta": beta,
                 "mechanism": "horizontal/pivot-0",
-                "eval_fraction": hz["survive_fraction"],
-                "skip_fraction": 1.0 - hz["survive_fraction"],
+                "eval_fraction": survive,
+                "skip_fraction": 1.0 - survive,
                 "mean_jump": float("nan"),
                 "probes_per_cell": float("nan"),
             }
@@ -329,12 +340,15 @@ def run_table5(spark: SparkSession, workdir: str):
     t_init = time.perf_counter() - t0
 
     # direct incremental apply (algorithmic update cost, no streaming
-    # engine overhead) on an identical second store
-    direct = SketchStore(os.path.join(workdir, "direct"), bw=T5_SPEC.bw)
-    direct.apply_batch(pdf[pdf["t"] < init_h])
-    t0 = time.perf_counter()
-    direct.apply_batch(pdf[pdf["t"] >= init_h])
-    t_direct = time.perf_counter() - t0
+    # engine overhead), each time on a fresh copy of the initial store
+    def direct_apply():
+        direct = SketchStore(os.path.join(workdir, "direct"), bw=T5_SPEC.bw)
+        direct.apply_batch(pdf[pdf["t"] < init_h])
+        t0 = time.perf_counter()
+        direct.apply_batch(pdf[pdf["t"] >= init_h])
+        return direct, time.perf_counter() - t0
+
+    _, t_direct = _min_run(direct_apply, T5_REPS)
 
     # stage the 30-day append as streaming files
     in_dir = os.path.join(workdir, "incoming")
@@ -349,10 +363,13 @@ def run_table5(spark: SparkSession, workdir: str):
     t_inc = time.perf_counter() - t0
 
     # full rebuild for comparison
-    t0 = time.perf_counter()
-    rebuild = SketchStore(os.path.join(workdir, "rebuild"), bw=T5_SPEC.bw)
-    rebuild.apply_batch(pdf)
-    t_full = time.perf_counter() - t0
+    def full_rebuild():
+        t0 = time.perf_counter()
+        rebuild = SketchStore(os.path.join(workdir, "rebuild"), bw=T5_SPEC.bw)
+        rebuild.apply_batch(pdf)
+        return rebuild, time.perf_counter() - t0
+
+    rebuild, t_full = _min_run(full_rebuild, T5_REPS)
 
     # the streamed store must equal the rebuilt one, series and pair sums
     for view in ("series_sketch", "pair_sketch"):

@@ -160,8 +160,34 @@ def eval_at_window(
 
 
 # --------------------------------------------------------------------------
-# Reference (non-sketch) correlation, for tests and the naive baseline
+# Raw-window correlation: the reference, and the raw-data engines' kernels
 # --------------------------------------------------------------------------
+
+def unit_rows(seg: np.ndarray) -> np.ndarray:
+    """Each row of a window centred and scaled to unit norm: (N, l) -> (N, l).
+
+    The inner product of two unit rows is their Pearson correlation. A
+    constant row has no direction and is NaN, so every correlation it
+    takes part in is NaN (undefined), as in ``window_corr``.
+    """
+    segc = seg - seg.mean(axis=1, keepdims=True)
+    norms = np.sqrt((segc * segc).sum(axis=1, keepdims=True))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(norms > 0, segc / norms, np.nan)
+
+
+def window_corr(seg: np.ndarray) -> np.ndarray:
+    """All-pairs correlation of one window's rows: (N, l) -> (N, N).
+
+    Cells with a constant row are NaN (correlation undefined).
+    """
+    segc = seg - seg.mean(axis=1, keepdims=True)
+    norms = np.sqrt((segc * segc).sum(axis=1))
+    cov = segc @ segc.T
+    den = np.outer(norms, norms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, cov / den, np.nan)
+
 
 def exact_window_corr(X: np.ndarray, spec: SlidingSpec) -> np.ndarray:
     """Ground-truth all-pairs correlation per window, straight from raw data.
@@ -173,11 +199,5 @@ def exact_window_corr(X: np.ndarray, spec: SlidingSpec) -> np.ndarray:
     out = np.empty((n, n, spec.n_windows), dtype=np.float64)
     for w in range(spec.n_windows):
         ws, we = spec.window_t_range(w)
-        seg = X[:, ws:we]
-        segc = seg - seg.mean(axis=1, keepdims=True)
-        norms = np.sqrt((segc * segc).sum(axis=1))
-        cov = segc @ segc.T
-        den = np.outer(norms, norms)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[:, :, w] = np.where(den > 0, cov / den, np.nan)
+        out[:, :, w] = window_corr(X[:, ws:we])
     return out

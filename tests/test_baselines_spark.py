@@ -1,8 +1,12 @@
-"""Approximate baselines: ParCorr and StatStream estimate quality."""
+"""Raw-data baselines: ParCorr and StatStream estimate quality, and the
+one window runner that naive, ParCorr and StatStream share."""
+from dataclasses import replace
+
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.baselines import parcorr, statstream
+from repro.baselines import naive, parcorr, statstream
 from repro.metrics import edge_metrics
 from repro.sketch import kernels
 from repro.tomborg.distributions import sample_target
@@ -23,9 +27,15 @@ def X_conc():
     return generate(sample_target("block", N, seed=31), L, alpha=2.0, seed=32)
 
 
-def exact_cells(X):
-    import pandas as pd
+@pytest.fixture(scope="module")
+def X_const(X_conc):
+    """X_conc with series 5 constant over t in [200, 600): windows 3 and 4."""
+    X = X_conc.copy()
+    X[5, 200:600] = 2.0
+    return X
 
+
+def exact_cells(X):
     ref = kernels.exact_window_corr(X, SPEC)
     rows = [
         (i, j, w, ref[i, j, w])
@@ -103,3 +113,60 @@ class TestStatStream:
         )
         assert m_conc["f1"] > m_flat["f1"] + 0.2
         assert m_conc["f1"] >= 0.8
+
+
+# engine -> (its Spark query, its numpy cells function for a spec)
+ENGINES = {
+    "naive": (naive.query, lambda spec: naive.cells),
+    "parcorr-raw": (
+        lambda spark, X, spec: parcorr.query(spark, X, spec, d=16, seed=3),
+        lambda spec: parcorr.cells(spec, 16, 3, False, None),
+    ),
+    "parcorr-verified": (
+        lambda spark, X, spec: parcorr.query(spark, X, spec, d=16, seed=3, verify=True),
+        lambda spec: parcorr.cells(spec, 16, 3, True, None),
+    ),
+    "statstream": (
+        lambda spark, X, spec: statstream.query(spark, X, spec, n_coef=16),
+        lambda spec: statstream.cells(16),
+    ),
+}
+
+
+def sorted_edges(pdf):
+    return pdf.sort_values(["i", "j", "w"], ignore_index=True)
+
+
+class TestRunWindows:
+    """``naive.run_windows`` emits exactly each engine's thresholded numpy cells."""
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_spark_edges_equal_numpy_cells(self, spark, X_const, engine, beta):
+        spec = replace(SPEC, beta=beta)
+        query, cells_for = ENGINES[engine]
+        cells = cells_for(spec)
+        iu, ju = np.triu_indices(N, k=1)
+        want = []
+        for w in range(spec.n_windows):
+            ws, we = spec.window_t_range(w)
+            i, j, c = cells(X_const[:, ws:we], iu, ju)
+            keep = c >= beta
+            want.append(pd.DataFrame({"i": i[keep], "j": j[keep], "w": w, "corr": c[keep]}))
+        want = sorted_edges(pd.concat(want)).astype({"w": np.int64})
+        got = sorted_edges(query(spark, X_const, spec).toPandas())
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got[["i", "j", "w"]], want[["i", "j", "w"]])
+        np.testing.assert_allclose(got["corr"], want["corr"], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_constant_window_emits_no_edge_at_beta_zero(self, spark, X_const, engine):
+        # a constant row has no correlation: at β = 0 an engine that reads
+        # it as 0 would emit corr-0 edges no exact engine emits
+        spec = replace(SPEC, beta=0.0)
+        ref = kernels.exact_window_corr(X_const, spec)
+        assert np.isnan(ref[5, :, 3:5]).all()
+        got = ENGINES[engine][0](spark, X_const, spec).toPandas()
+        assert len(got) > 0
+        undefined = np.isnan(ref[got["i"], got["j"], got["w"]])
+        assert not undefined.any(), f"{int(undefined.sum())} undefined cells emitted"

@@ -137,11 +137,16 @@ class TestHorizontal:
                     assert r.c == pytest.approx(expect, abs=1e-9)
 
     def test_survival_fraction_on_structured_data(self, spark, sketch):
-        s = horizontal.survival_fraction(spark, sketch.df, SPEC, 0, N)
-        assert 0 < s["survivors"] <= s["total"]
+        # Table 4's reading: the masked sweep's evaluations less the
+        # pivot's (N−1)·W cells are the survivors
+        stats = dangoron.StatsAccumulators(spark)
+        horizontal.query(spark, sketch.df, SPEC, 0, BLOCK, stats).count()
+        survivors = stats.snapshot()["evals"] - (N - 1) * SPEC.n_windows
+        total = (N - 1) * (N - 2) // 2 * SPEC.n_windows
+        assert 0 < survivors <= total
         # pivot 0 is a temperature series: strongly correlated with other
         # temperature series, so the triangle bound prunes some cells
-        assert s["survive_fraction"] < 1.0
+        assert survivors / total < 1.0
 
 
 def whole_tile(X) -> dict:

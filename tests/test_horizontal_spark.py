@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import bounds, horizontal
+from repro.core import bounds, dangoron, horizontal
 from repro.core.jumping import sweep
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import load_pair_payload
@@ -98,9 +98,15 @@ class TestTriangleMask:
         assert np.isnan(corr[pivot]).all()
         tiles = [load_pair_payload(r.payload) for r in h.df.select("payload").collect()]
         evals = sum(sweep(t, SPEC, pivot_corr=corr).stats.evals for t in tiles)
-        survivors = horizontal.survival_fraction(spark, h.df, SPEC, pivot, N)["survivors"]
+        survivors = horizontal.candidate_cells(
+            horizontal.pivot_correlations(h.df, SPEC, pivot), SPEC.beta
+        ).count()
         # every surviving non-pivot cell, plus the pivot's pairs at every window
         assert evals == survivors + (N - 1) * SPEC.n_windows
+        # the query's own counters, which Table 4 reads, count the same cells
+        stats = dangoron.StatsAccumulators(spark)
+        horizontal.query(spark, h.df, SPEC, pivot, 5, stats).count()
+        assert stats.snapshot()["evals"] == evals
 
     def test_query_leaves_nothing_cached(self, spark, sketch):
         persistent = spark.sparkContext._jsc.getPersistentRDDs

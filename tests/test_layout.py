@@ -1,0 +1,46 @@
+"""Spark plumbing lives in the runners only.
+
+Every engine runs on one of two runners: ``dangoron.run_tiles`` over the
+cached pair sketch, or ``naive.run_windows`` over the broadcast raw
+matrix. Besides them only the sketch build (``build_pair_block_sketch``)
+starts a ``mapInPandas`` stage, and only ``run_windows`` broadcasts. A
+copy of the fan-out in an engine fails here.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def owners(attr: str) -> list[str]:
+    """The top-level functions of ``src/repro`` that use ``.attr`` in code."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(
+                isinstance(node, ast.Attribute) and node.attr == attr
+                for node in ast.walk(top)
+            ):
+                name = getattr(top, "name", "<module>")
+                found.append(f"{path.relative_to(SRC).as_posix()}:{name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "attr, allowed",
+    [
+        (
+            "mapInPandas",
+            [
+                "baselines/naive.py:run_windows",
+                "core/dangoron.py:run_tiles",
+                "sketch/pair_sketch.py:build_pair_block_sketch",
+            ],
+        ),
+        ("broadcast", ["baselines/naive.py:run_windows"]),
+    ],
+)
+def test_only_the_runners_fan_out(attr, allowed):
+    assert owners(attr) == allowed
