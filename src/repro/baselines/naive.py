@@ -28,8 +28,9 @@ def run_windows(
 ) -> DataFrame:
     """The one window runner of the raw-data engines (naive, ParCorr, StatStream).
 
-    Broadcasts X once and fans the window ids out over at most 64
-    partitions; each ``mapInPandas`` task slices its windows, runs
+    Broadcasts X once and fans the window ids out over at most
+    ``defaultParallelism`` partitions, one Python task per core rather
+    than per window; each ``mapInPandas`` task slices its windows, runs
     ``cells`` on each slice and yields the cells with corr ≥ β as
     (i, j, w, corr) rows. NaN (undefined) cells compare False and are
     never emitted.
@@ -55,7 +56,8 @@ def run_windows(
                     }
                 )
 
-    wins = spark.range(0, n_windows, 1, min(n_windows, 64))
+    parts = min(n_windows, spark.sparkContext.defaultParallelism)
+    wins = spark.range(0, n_windows, 1, parts)
     return wins.mapInPandas(run, schema=CELLS_SCHEMA)
 
 

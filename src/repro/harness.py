@@ -15,8 +15,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import MALLOC_ENV
-from repro.sketch.blocks import pack_blocks_from_matrix
-from repro.sketch.pair_sketch import build_pair_block_sketch
+from repro.sketch.blocks import pack_bundles
+from repro.sketch.pair_sketch import build_pair_sketch
 from repro.tsio.validation import SlidingSpec
 
 DEFAULT_BLOCK_SIZE = 16
@@ -70,8 +70,7 @@ def build_sketch(
     metric) starts after it returns.
     """
     t0 = time.perf_counter()
-    blocks = pack_blocks_from_matrix(spark, X, spec, block_size)
-    sketch = build_pair_block_sketch(blocks).cache()
+    sketch = build_pair_sketch(spark, pack_bundles(X, spec, block_size)).cache()
     sketch.count()  # materialise the cache before any timing starts
     return SketchHandle(
         sketch, time.perf_counter() - t0, X.shape[0], block_size

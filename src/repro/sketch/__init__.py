@@ -11,7 +11,7 @@ Layers:
 
 - ``kernels``     — pure numpy math shared by every engine;
 - ``blocks``      — packing series into block bundles for all-pairs fan-out;
-- ``pair_sketch`` — joining block bundles into the tiles of the pair
+- ``pair_sketch`` — building from block bundles the tiles of the pair
                     sketch (per-bw covariances, means and stds) that every
                     query engine consumes.
 """

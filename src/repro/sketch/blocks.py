@@ -1,11 +1,12 @@
 """Packing series into block bundles for all-pairs fan-out.
 
-All-pairs work over N series is distributed as (N/p)² /2 block pairs: a
-tiny DataFrame of binary block bundles is cross-joined with itself and
+All-pairs work over N series is distributed as (N/p)² /2 block pairs:
+the pair-sketch build holds the binary block bundles on the driver and
 each block-pair task runs a numpy kernel over a p×p tile of the pair
-space. This is the standard Arrow-kernel layout for quadratic
-computations in PySpark — a Catalyst self-join of the long form would
-shuffle N²·L rows, while block bundles ship Θ(N·L) bytes once.
+space, reading its two bundles from the task closure. This is the
+standard Arrow-kernel layout for quadratic computations in PySpark — a
+Catalyst self-join of the long form would shuffle N²·L rows, while block
+bundles ship Θ(N·L) bytes once.
 
 A bundle carries, per series of the block: global ids, per-basic-window
 means and population stds, and the bw-centred raw data (needed once to
@@ -56,10 +57,9 @@ def load_bundle(payload: bytes) -> dict:
     return pickle.loads(payload)
 
 
-def pack_blocks_from_matrix(
-    spark: SparkSession, X: np.ndarray, spec: SlidingSpec, block_size: int = 16
-) -> DataFrame:
-    """Driver-side packing of a dense matrix into a block-bundle DataFrame."""
+def pack_bundles(X: np.ndarray, spec: SlidingSpec, block_size: int = 16) -> pd.DataFrame:
+    """Driver-side packing of a dense matrix: one (block_id, n, n_bw, payload)
+    row per block of ``block_size`` consecutive series."""
     spec.validate_against(X.shape[1])
     n = X.shape[0]
     rows = []
@@ -67,8 +67,14 @@ def pack_blocks_from_matrix(
         hi = min(lo + block_size, n)
         ids = np.arange(lo, hi, dtype=np.int64)
         rows.append((b, hi - lo, spec.n_bw(X.shape[1]), make_bundle(ids, X[lo:hi], spec.bw)))
-    pdf = pd.DataFrame(rows, columns=["block_id", "n", "n_bw", "payload"])
-    return spark.createDataFrame(pdf, schema=BLOCK_SCHEMA)
+    return pd.DataFrame(rows, columns=["block_id", "n", "n_bw", "payload"])
+
+
+def pack_blocks_from_matrix(
+    spark: SparkSession, X: np.ndarray, spec: SlidingSpec, block_size: int = 16
+) -> DataFrame:
+    """``pack_bundles`` as a block-bundle DataFrame."""
+    return spark.createDataFrame(pack_bundles(X, spec, block_size), schema=BLOCK_SCHEMA)
 
 
 def pack_blocks_from_long(
@@ -78,10 +84,12 @@ def pack_blocks_from_long(
 
     Series are assigned to blocks by ``series_id // block_size``;
     ``applyInPandas`` assembles each block's dense tile and serializes
-    the bundle on the executors (no driver collect of the raw data).
-    Every series of a block must have exactly one row per timestep
-    0..L−1, and L must fit ``spec``; a hole, a duplicate row or a block
-    too short for the query fails the action that runs the packing.
+    the bundle on the executors (no driver collect of the raw long
+    form; ``pair_sketch.build_pair_block_sketch`` collects the bundles,
+    Θ(N·L) bytes, once). Every series of a block must have exactly one
+    row per timestep 0..L−1, and L must fit ``spec``; a hole, a
+    duplicate row or a block too short for the query fails the action
+    that runs the packing.
     """
     from pyspark.sql import functions as F
 

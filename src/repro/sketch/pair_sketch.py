@@ -1,8 +1,9 @@
 """Pairwise basic-window covariance sketch.
 
-``build_pair_block_sketch`` joins block bundles into sketch tiles and
-computes each tile's pairwise bw-covariance tensor with an einsum
-kernel. The result — one binary payload per tile, one tile per Spark
+``build_pair_sketch`` lays the sketch's tiles out on the driver from
+the block bundles and computes each tile's pairwise bw-covariance
+tensor with an einsum kernel, in one shuffle-free ``mapInPandas``
+stage. The result — one binary payload per tile, one tile per Spark
 partition — is what every query engine (TSUBASA, Dangoron, horizontal
 pruning) consumes; building it is the shared "sketch build" phase that
 pure query time excludes.
@@ -15,15 +16,12 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.sketch import kernels
 from repro.sketch.blocks import load_bundle
 
 PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, payload binary"
-_LAYOUT_COLUMNS = ["tid", "bi", "bj", "lo", "hi"]
-_LAYOUT_SCHEMA = ", ".join(f"{c} long" for c in _LAYOUT_COLUMNS)
 
 
 def band_edges(row_pairs: np.ndarray, n_bands: int) -> np.ndarray:
@@ -83,14 +81,18 @@ def tile_layout(
     return [(tid, *t[1:]) for tid, t in enumerate(tiles)]
 
 
-def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
-    """Block bundles -> one sketch payload per tile, one tile per partition.
+def build_pair_sketch(spark: SparkSession, bundles: pd.DataFrame) -> DataFrame:
+    """Block bundles held on the driver -> one sketch tile per partition.
 
-    The driver reads the block sizes (the packer runs once: the blocks
-    are checkpointed), lays out the tiles with ``tile_layout`` over
-    ``defaultParallelism`` and range-partitions on the tile id, so each
-    partition holds exactly one tile and none is empty. Rejects blocks
-    of unequal basic-window counts before any tile is built.
+    ``bundles`` has one (block_id, n, n_bw, payload) row per block
+    (``blocks.pack_bundles``). Rejects blocks of unequal basic-window
+    counts before any tile is built, lays out the tiles with
+    ``tile_layout`` over ``defaultParallelism``, and builds them in one
+    ``mapInPandas`` stage over ``spark.range(0, T, 1, T)``: partition t
+    holds tile id t alone, so the stage needs no shuffle. Each task reads
+    its tile's layout row and block bundles from the task closure, which
+    PySpark ships as a broadcast once it passes 1 MiB; the bundles cross
+    to the workers once, Θ(N·L) bytes.
 
     The payload holds everything Eq.-1 evaluation needs for the tile:
     global series ids and per-bw means/stds of its i rows and j columns,
@@ -99,44 +101,31 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
     works purely from sketch statistics, as the paper's framework
     prescribes.
     """
-    spark = blocks_df.sparkSession
-    blocks = blocks_df.localCheckpoint()
-    meta = blocks.select("block_id", "n", "n_bw").collect()
-    n_bw = max((r.n_bw for r in meta), default=0)
-    short = [r for r in meta if r.n_bw != n_bw]
-    if short:
-        r = min(short, key=lambda r: r.block_id)
+    n_bw = int(bundles["n_bw"].max()) if len(bundles) else 0
+    short = bundles[bundles["n_bw"] != n_bw]
+    if len(short):
+        r = short.loc[short["block_id"].idxmin()]
         raise ValueError(
             f"block {r.block_id} has {r.n_bw} basic windows, other blocks have {n_bw}; "
             "every block must cover the same timesteps"
         )
     layout = tile_layout(
-        {r.block_id: r.n for r in meta}, spark.sparkContext.defaultParallelism
+        dict(zip(bundles["block_id"].tolist(), bundles["n"].tolist())),
+        spark.sparkContext.defaultParallelism,
     )
-    a = blocks.select(F.col("block_id").alias("bi"), F.col("payload").alias("pa"))
-    b = blocks.select(F.col("block_id").alias("bj"), F.col("payload").alias("pb"))
-    # from pandas, so Arrow carries the layout to the JVM without Python workers
-    layout_df = spark.createDataFrame(
-        pd.DataFrame(layout, columns=_LAYOUT_COLUMNS), schema=_LAYOUT_SCHEMA
-    )
-    tiles = (
-        layout_df.join(a, "bi")
-        .join(b, "bj")
-        # a diagonal tile reads its one block from pa
-        .withColumn("pb", F.when(F.col("bi") != F.col("bj"), F.col("pb")))
-        .repartitionByRange(max(len(layout), 1), "tid")
-    )
+    payloads = dict(zip(bundles["block_id"].tolist(), bundles["payload"]))
 
     def build(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in it:
             out = []
-            for row in pdf.itertuples(index=False):
-                diag = row.bi == row.bj
-                ba = load_bundle(row.pa)
-                bb = ba if diag else load_bundle(row.pb)
-                band = slice(row.lo, row.hi)
+            for tid in pdf["id"].tolist():
+                _, bi, bj, lo, hi = layout[tid]
+                diag = bi == bj
+                ba = load_bundle(payloads[bi])
+                bb = ba if diag else load_bundle(payloads[bj])
+                band = slice(lo, hi)
                 # a diagonal band pairs its rows only with later series
-                cols = slice(row.lo if diag else 0, None)
+                cols = slice(lo if diag else 0, None)
                 payload = pickle.dumps(
                     {
                         "ids_i": ba["ids"][band],
@@ -146,14 +135,22 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
                         "means_j": bb["means"][cols],
                         "stds_j": bb["stds"][cols],
                         "q": kernels.pair_bw_cov(ba["centred"][band], bb["centred"][cols]),
-                        "diag": bool(diag),
+                        "diag": diag,
                     },
                     protocol=4,
                 )
-                out.append((row.tid, row.bi, row.bj, payload))
+                out.append((tid, bi, bj, payload))
             yield pd.DataFrame(out, columns=["tid", "bi", "bj", "payload"])
 
-    return tiles.mapInPandas(build, schema=PAIR_BLOCK_SCHEMA)
+    n_tiles = len(layout)
+    tids = spark.range(0, n_tiles, 1, max(n_tiles, 1))
+    return tids.mapInPandas(build, schema=PAIR_BLOCK_SCHEMA)
+
+
+def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
+    """``build_pair_sketch`` over a block-bundle DataFrame, collected once
+    to the driver (the long-form packer's output, or a traced run's)."""
+    return build_pair_sketch(blocks_df.sparkSession, blocks_df.toPandas())
 
 
 def load_pair_payload(payload: bytes) -> dict:

@@ -2,9 +2,15 @@
 
 Every engine runs on one of two runners: ``dangoron.run_tiles`` over the
 cached pair sketch, or ``naive.run_windows`` over the broadcast raw
-matrix. Besides them only the sketch build (``build_pair_block_sketch``)
+matrix. Besides them only the sketch build (``build_pair_sketch``)
 starts a ``mapInPandas`` stage, and only ``run_windows`` broadcasts. A
 copy of the fan-out in an engine fails here.
+
+No Python stage uses the RDD API (``sc.parallelize(...).map``): RDD and
+SQL Python runners keep separate worker pools, so one RDD stage starts a
+second ``pyspark.daemon`` with its own workers. A pair-sketch build done
+that way added ~500–700 MB of peak RSS on the 128-series benchmark and
+left the SQL pool cold, so the first query after it took 2.4 s.
 """
 import ast
 from pathlib import Path
@@ -36,10 +42,11 @@ def owners(attr: str) -> list[str]:
             [
                 "baselines/naive.py:run_windows",
                 "core/dangoron.py:run_tiles",
-                "sketch/pair_sketch.py:build_pair_block_sketch",
+                "sketch/pair_sketch.py:build_pair_sketch",
             ],
         ),
         ("broadcast", ["baselines/naive.py:run_windows"]),
+        ("parallelize", []),
     ],
 )
 def test_only_the_runners_fan_out(attr, allowed):

@@ -173,6 +173,9 @@ class TestPairBlockSketch:
             assert sketch.rdd.glom().map(len).collect() == [1] * n_tiles
             tids = [r.tid for r in sketch.select("tid").collect()]
             assert tids == list(range(n_tiles))
+            # the build is one stage: no join, no range partitioning
+            plan = sketch._jdf.queryExecution().executedPlan().toString()
+            assert "Exchange" not in plan, plan
         finally:
             sketch.unpersist()
 
