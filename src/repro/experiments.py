@@ -14,6 +14,7 @@ run-to-run noise on the virtualized hosts these tables were run on.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +27,9 @@ from repro.baselines import naive, parcorr, statstream, tsubasa
 from repro.core import dangoron, horizontal
 from repro.harness import build_sketch, format_table, timed_count
 from repro.metrics import edge_metrics
+from repro.streaming.sketch_stream import SketchStore, run_stream
 from repro.tomborg.generator import generate_named
+from repro.tsio.matrix import to_long_pdf
 from repro.tsio.validation import SlidingSpec
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,6 @@ class EngineRun:
     name: str
     query_s: float
     rows: int
-    cells: pd.DataFrame | None = None
     stats: dict = field(default_factory=dict)
 
 
@@ -323,11 +325,6 @@ def run_table4(spark: SparkSession, n_stations: int = T4_N_STATIONS):
 
 def run_table5(spark: SparkSession, workdir: str):
     """Incremental streaming update vs full sketch rebuild."""
-    import os
-
-    from repro.streaming.sketch_stream import SketchStore, run_stream
-    from repro.tsio.matrix import to_long_pdf
-
     rng_hours = (T5_INIT_DAYS + T5_APPEND_DAYS) * 24
     X = synth_data.uscrn_like(n_stations=T5_N // 4, n_hours=rng_hours, seed=10)
     init_h = T5_INIT_DAYS * 24

@@ -125,8 +125,6 @@ def format_table(rows: list[dict], title: str | None = None) -> str:
 
 def save_table(text: str, path: str) -> None:
     """Persist a formatted table under results/ for EXPERIMENTS.md."""
-    import os
-
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -21,6 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.sketch import kernels
+from repro.tsio.matrix import from_long_pdf
 from repro.tsio.validation import SlidingSpec
 
 BLOCK_SCHEMA = "block_id long, n long, n_bw long, payload binary"
@@ -86,46 +87,26 @@ def pack_blocks_from_long(
     ``applyInPandas`` assembles each block's dense tile and serializes
     the bundle on the executors (no driver collect of the raw long
     form; ``pair_sketch.build_pair_block_sketch`` collects the bundles,
-    Θ(N·L) bytes, once). Every series of a block must have exactly one
-    row per timestep 0..L−1, and L must fit ``spec``; a hole, a
-    duplicate row or a block too short for the query fails the action
-    that runs the packing.
+    Θ(N·L) bytes, once). Each block is read by
+    ``tsio.matrix.from_long_pdf`` over its own series ids and timesteps
+    0..L−1, so a hole, a duplicate row, a negative id or t or a
+    non-finite value fails the action that runs the packing, as does a
+    block too short for the query.
     """
     from pyspark.sql import functions as F
 
     bw = spec.bw
 
     def assemble(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values(["series_id", "t"])
-        ids = pdf["series_id"].unique()
-        ids.sort()
-        block_id = int(ids[0]) // block_size
-        length = int(pdf["t"].max()) + 1
+        ids = np.unique(pdf["series_id"].to_numpy())
+        xblk = from_long_pdf(pdf, ids=ids)
+        block_id, length = int(ids[0]) // block_size, xblk.shape[1]
         try:
             spec.validate_against(length)
         except ValueError as e:
             raise ValueError(
                 f"block {block_id} (series {int(ids[0])}..{int(ids[-1])}): {e}"
             ) from None
-        dup = pdf.duplicated(["series_id", "t"])
-        if dup.any():
-            first = pdf.loc[dup.idxmax()]
-            raise ValueError(
-                f"series {int(first['series_id'])} has more than one row at "
-                f"t={int(first['t'])}; "
-                "deduplicate the long form before packing"
-            )
-        counts = pdf.groupby("series_id").size()
-        short = counts[counts != length]
-        if len(short):
-            raise ValueError(
-                f"series {int(short.index[0])} has {int(short.iloc[0])} of {length} timesteps; "
-                "synchronize the series (fill or drop missing rows) before packing"
-            )
-        xblk = np.empty((len(ids), length), dtype=np.float64)
-        pos = {s: k for k, s in enumerate(ids)}
-        rowpos = pdf["series_id"].map(pos).to_numpy()
-        xblk[rowpos, pdf["t"].to_numpy()] = pdf["value"].to_numpy()
         return pd.DataFrame(
             {
                 "block_id": [block_id],

@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.tsio.matrix import LONG_SCHEMA
+from repro.tsio.matrix import LONG_SCHEMA, from_long_pdf
 
 
 class SketchStore:
@@ -47,42 +47,18 @@ class SketchStore:
 
         The batch must carry complete timesteps (every known series
         present for each t it contains) — the synchronized-series
-        assumption; arrival order across batches is free. A rejected
-        batch leaves the store untouched.
+        assumption; arrival order across batches is free. The batch is
+        read by ``tsio.matrix.from_long_pdf`` over the known and new
+        series ids and the batch's own timesteps, so a hole, a duplicate
+        row, a negative id or t or a non-finite value is rejected and
+        leaves the store untouched.
         """
         if len(pdf) == 0:
             return
-        sid = pdf["series_id"].to_numpy(dtype=np.int64)
-        t = pdf["t"].to_numpy(dtype=np.int64)
-        value = pdf["value"].to_numpy(dtype=np.float64)
-        bad = ~np.isfinite(value)
-        if bad.any():
-            r = pdf[bad].sort_values(["series_id", "t"]).iloc[0]
-            raise ValueError(
-                f"series {int(r['series_id'])} has a non-finite value ({r['value']}) "
-                f"at t={int(r['t'])}; fill or drop it before streaming"
-            )
-        dup = pdf.duplicated(["series_id", "t"]).to_numpy()
-        if dup.any():
-            k = int(dup.argmax())
-            raise ValueError(
-                f"series {sid[k]} has more than one row at t={t[k]}; "
-                "deduplicate the batch before streaming"
-            )
-        ts, row = np.unique(t, return_inverse=True)
-        if ts[0] < 0:
-            raise ValueError(
-                f"t={ts[0]} is negative; the store's basic windows start at t=0"
-            )
-        new = np.setdiff1d(sid, self.ids)
+        ts = np.unique(pdf["t"].to_numpy(dtype=np.int64))
+        new = np.setdiff1d(pdf["series_id"].to_numpy(dtype=np.int64), self.ids)
         ids = np.concatenate([self.ids, new])
-        wide = np.full((len(ts), len(ids)), np.nan)
-        wide[row, pd.Index(ids).get_indexer(sid)] = value
-        if np.isnan(wide).any():
-            raise ValueError(
-                "pair maintenance needs complete timesteps per batch; "
-                "got a partial cross-section (a series is missing for some t)"
-            )
+        X = from_long_pdf(pdf, ids=ids, ts=ts)
 
         bws = ts // self.bw
         dn, db = len(new), max(0, int(bws[-1]) + 1 - self.cnt.shape[1])
@@ -92,10 +68,10 @@ class SketchStore:
             self.s1 = np.pad(self.s1, ((0, dn), (0, db)))
             self.sxy = np.pad(self.sxy, ((0, dn), (0, dn), (0, db)))
         ub, first = np.unique(bws, return_index=True)
-        for b, rows in zip(ub, np.split(wide, first[1:])):
-            self.cnt[:, b] += len(rows)
-            self.s1[:, b] += rows.sum(axis=0)
-            self.sxy[:, :, b] += rows.T @ rows
+        for b, cols in zip(ub, np.split(X, first[1:], axis=1)):
+            self.cnt[:, b] += cols.shape[1]
+            self.s1[:, b] += cols.sum(axis=1)
+            self.sxy[:, :, b] += cols @ cols.T
         self.batches_applied += 1
 
     # -- derived views -----------------------------------------------------

@@ -6,7 +6,9 @@ The whole reproduction works over two equivalent representations:
   Arrow kernels inside Spark tasks;
 - a long-form Spark DataFrame ``(series_id: long, t: long, value: double)``
   — the Catalyst-visible representation used by the long-form block
-  packer, the streaming maintenance path and the DuckDB oracle.
+  packer, the streaming maintenance path and the DuckDB oracle. The
+  packer and the store read it into a grid through one reader,
+  ``matrix.from_long_pdf``, which also checks the grid.
 
 ``SlidingSpec`` captures the paper's query: range r=(start, end), window
 size ``window`` (l), slide ``step`` (η), threshold ``beta`` (β) and the

@@ -1,9 +1,10 @@
 """Conversions between dense matrices and long-form Spark DataFrames.
 
 Long form is the Catalyst-visible layout: one row per observation,
-``(series_id, t, value)``. The long-form block packer, streaming
-maintenance and the DuckDB oracle consume it; the Arrow kernels consume
-the dense matrix.
+``(series_id, t, value)``. ``from_long_pdf`` is its one reader into a
+dense grid, and the one place its grid is checked; the long-form block
+packer and the streaming store call it. The DuckDB oracle reads long
+form in SQL; the Arrow kernels consume the dense matrix.
 """
 from __future__ import annotations
 
@@ -33,23 +34,53 @@ def to_long_df(spark: SparkSession, X: np.ndarray) -> DataFrame:
     return spark.createDataFrame(to_long_pdf(X), schema=LONG_SCHEMA)
 
 
-def from_long_pdf(pdf: pd.DataFrame) -> np.ndarray:
-    """Long pandas frame -> dense (N, L) matrix.
+def from_long_pdf(
+    pdf: pd.DataFrame, ids: np.ndarray | None = None, ts: np.ndarray | None = None
+) -> np.ndarray:
+    """Long pandas frame -> dense (len(ids), len(ts)) matrix.
 
-    Requires series_ids 0..N-1 and timesteps 0..L-1 to be fully populated
-    (the synchronized-series assumption from the problem definition);
-    raises if the grid has holes.
+    The one reader of long-form rows: the long-form block packer and the
+    streaming store both call it. ``ids`` and ``ts`` are the grid's axes,
+    by default 0..max series_id and 0..max t. The grid must be full (the
+    synchronized-series assumption of the problem definition). A
+    non-finite value, a negative series_id or t, a row outside the given
+    axes, a duplicate (series_id, t) and a hole are each rejected,
+    naming the first offender in (series_id, t) order.
     """
-    n = int(pdf["series_id"].max()) + 1
-    length = int(pdf["t"].max()) + 1
-    if len(pdf) != n * length:
+    sid = pdf["series_id"].to_numpy(dtype=np.int64)
+    t = pdf["t"].to_numpy(dtype=np.int64)
+    value = pdf["value"].to_numpy(dtype=np.float64)
+
+    def reject(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            k = np.flatnonzero(bad)
+            k = k[np.lexsort((t[k], sid[k]))[0]]
+            raise ValueError(message.format(s=sid[k], t=t[k], v=value[k]))
+
+    reject(~np.isfinite(value),
+           "series {s} has a non-finite value ({v}) at t={t}; fill or drop it first")
+    reject(sid < 0, "series_id={s} is negative; series ids and timesteps start at 0")
+    reject(t < 0, "t={t} is negative; series ids and timesteps start at 0")
+    ids = np.arange(sid.max() + 1) if ids is None else np.asarray(ids)
+    ts = np.arange(t.max() + 1) if ts is None else np.asarray(ts)
+    row, col = pd.Index(ids).get_indexer(sid), pd.Index(ts).get_indexer(t)
+    reject((row < 0) | (col < 0), "series {s} at t={t} lies outside the grid's axes")
+    cell = row * len(ts) + col
+    count = np.bincount(cell, minlength=len(ids) * len(ts))
+    reject(count[cell] > 1,
+           "series {s} has more than one row at t={t}; deduplicate the long form first")
+    count = count.reshape(len(ids), len(ts))
+    if not count.all():
+        r, c = np.nonzero(count == 0)
+        k = np.lexsort((ts[c], ids[r]))[0]
         raise ValueError(
-            f"long frame is not a full {n}x{length} grid "
-            f"({len(pdf)} rows); synchronize the series first"
+            f"series {ids[r[k]]} has {np.count_nonzero(count[r[k]])} of {len(ts)} "
+            f"timesteps (none at t={ts[c[k]]}); "
+            "the long form must be a full grid of complete timesteps"
         )
-    X = np.empty((n, length), dtype=np.float64)
-    X[pdf["series_id"].to_numpy(), pdf["t"].to_numpy()] = pdf["value"].to_numpy()
-    return X
+    X = np.empty(len(ids) * len(ts), dtype=np.float64)
+    X[cell] = value
+    return X.reshape(len(ids), len(ts))
 
 
 def window_slices(spec: SlidingSpec) -> pd.DataFrame:

@@ -51,3 +51,18 @@ def owners(attr: str) -> list[str]:
 )
 def test_only_the_runners_fan_out(attr, allowed):
     assert owners(attr) == allowed
+
+
+@pytest.mark.parametrize(
+    "attr, allowed",
+    [
+        ("duplicated", []),
+        ("bincount", ["tsio/matrix.py:from_long_pdf"]),
+        ("get_indexer", ["tsio/matrix.py:from_long_pdf"]),
+    ],
+)
+def test_one_long_form_reader(attr, allowed):
+    """Long rows reach a dense grid through ``from_long_pdf`` only, so
+    holes, duplicates, negative ids or t and non-finite values are
+    checked in one place; a second scatter or duplicate check fails here."""
+    assert owners(attr) == allowed
