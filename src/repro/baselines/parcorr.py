@@ -32,16 +32,15 @@ def estimate_window(seg: np.ndarray, r: np.ndarray) -> np.ndarray:
     return s @ s.T
 
 
-def cells(
-    spec: SlidingSpec, d: int, seed: int, verify: bool, margin: float | None
-) -> Cells:
+def cells(spec: SlidingSpec, d: int, seed: int, verify: bool) -> Cells:
     """ParCorr's per-window cells for ``run_windows`` (see ``query``)."""
     # The same projection matrix for every window, deterministic in
     # (seed, d, l), as ParCorr's shared sketches require.
     r = np.random.default_rng(seed).normal(size=(d, spec.window))
     if not verify:
         return lambda seg, iu, ju: (iu, ju, estimate_window(seg, r)[iu, ju])
-    lo = spec.beta - ((2.0 / np.sqrt(d)) if margin is None else margin)
+    # candidates reach within two JL standard deviations (1/√d each) of β
+    lo = spec.beta - 2.0 / np.sqrt(d)
 
     def verified(seg, iu, ju):
         cand = estimate_window(seg, r)[iu, ju] >= lo
@@ -59,15 +58,14 @@ def query(
     d: int = 32,
     seed: int = 0,
     verify: bool = False,
-    margin: float | None = None,
 ) -> DataFrame:
     """Network edges via ParCorr sketches.
 
     ``verify=False`` emits the raw estimates ≥ β (sketch-only accuracy).
     ``verify=True`` runs ParCorr's full pipeline: sketches generate
-    *candidates* with est ≥ β − margin (default margin 2/√d ≈ two JL
-    standard deviations), only the candidates are verified with the
-    exact correlation, and only true edges (exact ≥ β) are emitted —
-    precision 1 by construction, recall limited by candidate generation.
+    *candidates* with est ≥ β − 2/√d (two JL standard deviations), only
+    the candidates are verified with the exact correlation, and only true
+    edges (exact ≥ β) are emitted — precision 1 by construction, recall
+    limited by candidate generation.
     """
-    return run_windows(spark, X, spec, cells(spec, d, seed, verify, margin))
+    return run_windows(spark, X, spec, cells(spec, d, seed, verify))

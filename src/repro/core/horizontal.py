@@ -30,27 +30,22 @@ from pyspark.sql import functions as F
 from repro.core.dangoron import StatsAccumulators, run_tiles
 from repro.core.jumping import TileResult, sweep
 from repro.sketch import kernels
+from repro.sketch.pair_sketch import pair_tile_arrays
 from repro.tsio.validation import SlidingSpec
 
 
 def _pivot_kernel(tile: dict, spec: SlidingSpec, pivot: int) -> TileResult:
     """Correlations of the pivot with the tile's other series, as (x, pivot, w, c).
 
-    The pivot's row pairs it with every column; a tile holding the pivot
-    only as a column (an off-diagonal tile, or a diagonal band above the
-    pivot's row) pairs it with every row.
+    The pivot's pairs are picked from the tile's kept pairs
+    (``pair_tile_arrays``), which cover every pair exactly once.
     """
-    ids_i, ids_j = tile["ids_i"], tile["ids_j"]
-    if pivot in ids_i:
-        other = ids_j
-        rows = np.searchsorted(ids_i, pivot) * ids_j.size + np.arange(ids_j.size)
-    elif pivot in ids_j:
-        other = ids_i
-        rows = np.arange(ids_i.size) * ids_j.size + np.searchsorted(ids_j, pivot)
-    else:
+    pi, pj, rows = pair_tile_arrays(tile)
+    gi, gj = tile["ids_i"][pi], tile["ids_j"][pj]
+    sel = np.flatnonzero((gi == pivot) | (gj == pivot))
+    if not sel.size:
         return TileResult()
-    keep = other != pivot
-    other, rows = other[keep], rows[keep]
+    other, rows = gi[sel] + gj[sel] - pivot, rows[sel]
     terms = kernels.tile_terms(tile, spec)
     nw = spec.n_windows
     corr = np.stack([kernels.eval_at_window(terms, rows, w, spec) for w in range(nw)], axis=1)

@@ -11,6 +11,10 @@ bundles ship Θ(N·L) bytes once.
 A bundle carries, per series of the block: global ids, per-basic-window
 means and population stds, and the bw-centred raw data (needed once to
 form pairwise bw covariances at sketch-build time).
+
+Bundles are packed from the dense matrix on the driver. Long-form rows
+take the same path: ``tsio.matrix.from_long_pdf`` reads them into the
+matrix first, checking the grid.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.sketch import kernels
-from repro.tsio.matrix import from_long_pdf
 from repro.tsio.validation import SlidingSpec
 
 BLOCK_SCHEMA = "block_id long, n long, n_bw long, payload binary"
@@ -74,50 +77,7 @@ def pack_bundles(X: np.ndarray, spec: SlidingSpec, block_size: int = 16) -> pd.D
 def pack_blocks_from_matrix(
     spark: SparkSession, X: np.ndarray, spec: SlidingSpec, block_size: int = 16
 ) -> DataFrame:
-    """``pack_bundles`` as a block-bundle DataFrame."""
+    """``pack_bundles`` as a block-bundle DataFrame, for a caller that
+    times packing apart from the pair build (the traced benchmark)."""
     return spark.createDataFrame(pack_bundles(X, spec, block_size), schema=BLOCK_SCHEMA)
 
-
-def pack_blocks_from_long(
-    long_df: DataFrame, spec: SlidingSpec, block_size: int = 16
-) -> DataFrame:
-    """Distributed packing of the long form into block bundles.
-
-    Series are assigned to blocks by ``series_id // block_size``;
-    ``applyInPandas`` assembles each block's dense tile and serializes
-    the bundle on the executors (no driver collect of the raw long
-    form; ``pair_sketch.build_pair_block_sketch`` collects the bundles,
-    Θ(N·L) bytes, once). Each block is read by
-    ``tsio.matrix.from_long_pdf`` over its own series ids and timesteps
-    0..L−1, so a hole, a duplicate row, a negative id or t or a
-    non-finite value fails the action that runs the packing, as does a
-    block too short for the query.
-    """
-    from pyspark.sql import functions as F
-
-    bw = spec.bw
-
-    def assemble(pdf: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(pdf["series_id"].to_numpy())
-        xblk = from_long_pdf(pdf, ids=ids)
-        block_id, length = int(ids[0]) // block_size, xblk.shape[1]
-        try:
-            spec.validate_against(length)
-        except ValueError as e:
-            raise ValueError(
-                f"block {block_id} (series {int(ids[0])}..{int(ids[-1])}): {e}"
-            ) from None
-        return pd.DataFrame(
-            {
-                "block_id": [block_id],
-                "n": [len(ids)],
-                "n_bw": [spec.n_bw(length)],
-                "payload": [make_bundle(ids, xblk, bw)],
-            }
-        )
-
-    return (
-        long_df.withColumn("_blk", (F.col("series_id") / F.lit(block_size)).cast("long"))
-        .groupBy("_blk")
-        .applyInPandas(assemble, schema=BLOCK_SCHEMA)
-    )

@@ -148,8 +148,8 @@ def build_pair_sketch(spark: SparkSession, bundles: pd.DataFrame) -> DataFrame:
 
 
 def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
-    """``build_pair_sketch`` over a block-bundle DataFrame, collected once
-    to the driver (the long-form packer's output, or a traced run's)."""
+    """``build_pair_sketch`` over a block-bundle DataFrame
+    (``blocks.pack_blocks_from_matrix``), collected once to the driver."""
     return build_pair_sketch(blocks_df.sparkSession, blocks_df.toPandas())
 
 

@@ -44,7 +44,13 @@ def store_to_tile(store: SketchStore) -> dict:
     means = s1 / cnt
     q = sxy / cnt[:, None, :] - means[:, None, :] * means[None, :, :]
     d = np.arange(n)
-    var = np.clip(sxy[d, d] / cnt - means * means, 0.0, None)
+    ex2 = sxy[d, d] / cnt
+    var = ex2 - means * means
+    # One-pass variance cancels: a constant basic window leaves rounding
+    # residue of a few ε·E[x²] instead of 0, which would give a constant
+    # series a std and defined correlations. At or below that floor the
+    # variance is zero, as the batch sketch's two-pass std makes it.
+    var = np.where(var > 64 * np.finfo(np.float64).eps * ex2, var, 0.0)
     q[d, d] = var
     stds = np.sqrt(var)
     return {

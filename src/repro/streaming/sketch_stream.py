@@ -6,14 +6,16 @@ tile's own layout:
 - ``ids`` (n,)            — series ids, in arrival order;
 - ``cnt``, ``s1`` (n, n_bw) — count and Σx per series and basic window;
 - ``sxy`` (n, n, n_bw)      — Σ x·y per pair and basic window; its
-  diagonal is Σx².
+  diagonal is Σx²;
+- ``folded`` (n_bw·bw,)    — which timesteps have been folded in.
 
 A batch is folded in by addition, so any batching of the input rows
 yields the same store — the tests check a streamed store against numpy
-sums. Derived statistics (mean, std, per-bw covariance q) are computed
-at query time from the sums. The ``foreachBatch`` upsert is the
-production idiom for merge-into-store sinks (a Delta/JDBC MERGE in a
-real deployment; one local ``.npz`` file here).
+sums; ``folded`` lets each timestep be folded in only once. Derived
+statistics (mean, std, per-bw covariance q) are computed at query time
+from the sums. The ``foreachBatch`` upsert is the production idiom for
+merge-into-store sinks (a Delta/JDBC MERGE in a real deployment; one
+local ``.npz`` file here).
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ class SketchStore:
         self.cnt = np.zeros((0, 0), dtype=np.int64)
         self.s1 = np.zeros((0, 0))
         self.sxy = np.zeros((0, 0, 0))
+        self.folded = np.zeros(0, dtype=bool)
         self.batches_applied = 0
 
     # -- ingestion ---------------------------------------------------------
@@ -51,7 +54,10 @@ class SketchStore:
         read by ``tsio.matrix.from_long_pdf`` over the known and new
         series ids and the batch's own timesteps, so a hole, a duplicate
         row, a negative id or t or a non-finite value is rejected and
-        leaves the store untouched.
+        leaves the store untouched. So is a timestep already folded in
+        by an earlier batch: a re-sent timestep would be summed twice,
+        and where it stands in for one that never arrived, its basic
+        window's count would still read full.
         """
         if len(pdf) == 0:
             return
@@ -59,6 +65,13 @@ class SketchStore:
         new = np.setdiff1d(pdf["series_id"].to_numpy(dtype=np.int64), self.ids)
         ids = np.concatenate([self.ids, new])
         X = from_long_pdf(pdf, ids=ids, ts=ts)
+        again = ts[ts < self.folded.size]
+        again = again[self.folded[again]]
+        if again.size:
+            raise ValueError(
+                f"t={again[0]} is already folded into the store; "
+                "each timestep may arrive once"
+            )
 
         bws = ts // self.bw
         dn, db = len(new), max(0, int(bws[-1]) + 1 - self.cnt.shape[1])
@@ -67,11 +80,13 @@ class SketchStore:
             self.cnt = np.pad(self.cnt, ((0, dn), (0, db)))
             self.s1 = np.pad(self.s1, ((0, dn), (0, db)))
             self.sxy = np.pad(self.sxy, ((0, dn), (0, dn), (0, db)))
+            self.folded = np.pad(self.folded, (0, db * self.bw))
         ub, first = np.unique(bws, return_index=True)
         for b, cols in zip(ub, np.split(X, first[1:], axis=1)):
             self.cnt[:, b] += cols.shape[1]
             self.s1[:, b] += cols.sum(axis=1)
             self.sxy[:, :, b] += cols @ cols.T
+        self.folded[ts] = True
         self.batches_applied += 1
 
     # -- derived views -----------------------------------------------------
@@ -111,11 +126,14 @@ class SketchStore:
 
     def save(self) -> None:
         np.savez(os.path.join(self.path, "store.npz"),
-                 ids=self.ids, cnt=self.cnt, s1=self.s1, sxy=self.sxy)
+                 ids=self.ids, cnt=self.cnt, s1=self.s1, sxy=self.sxy,
+                 folded=self.folded)
 
     def load(self) -> "SketchStore":
         with np.load(os.path.join(self.path, "store.npz")) as z:
-            self.ids, self.cnt, self.s1, self.sxy = z["ids"], z["cnt"], z["s1"], z["sxy"]
+            self.ids, self.cnt, self.s1, self.sxy, self.folded = (
+                z["ids"], z["cnt"], z["s1"], z["sxy"], z["folded"]
+            )
         return self
 
 

@@ -5,10 +5,11 @@ The whole reproduction works over two equivalent representations:
 - a dense driver-side matrix ``X`` of shape (N, L) — numpy, used by the
   Arrow kernels inside Spark tasks;
 - a long-form Spark DataFrame ``(series_id: long, t: long, value: double)``
-  — the Catalyst-visible representation used by the long-form block
-  packer, the streaming maintenance path and the DuckDB oracle. The
-  packer and the store read it into a grid through one reader,
-  ``matrix.from_long_pdf``, which also checks the grid.
+  — the Catalyst-visible representation used by the streaming
+  maintenance path and the DuckDB oracle. Long rows reach a grid
+  through one reader, ``matrix.from_long_pdf``, which also checks the
+  grid: long-form input to the pair sketch is collected and read into
+  ``X``, and the store reads each batch.
 
 ``SlidingSpec`` captures the paper's query: range r=(start, end), window
 size ``window`` (l), slide ``step`` (η), threshold ``beta`` (β) and the

@@ -2,9 +2,11 @@
 
 Long form is the Catalyst-visible layout: one row per observation,
 ``(series_id, t, value)``. ``from_long_pdf`` is its one reader into a
-dense grid, and the one place its grid is checked; the long-form block
-packer and the streaming store call it. The DuckDB oracle reads long
-form in SQL; the Arrow kernels consume the dense matrix.
+dense grid, and the one place its grid is checked: long-form input
+reaches the pair sketch as ``from_long_pdf(long_df.toPandas())`` and
+then the matrix path, and the streaming store reads each batch with it.
+The DuckDB oracle reads long form in SQL; the Arrow kernels consume the
+dense matrix.
 """
 from __future__ import annotations
 
@@ -39,13 +41,14 @@ def from_long_pdf(
 ) -> np.ndarray:
     """Long pandas frame -> dense (len(ids), len(ts)) matrix.
 
-    The one reader of long-form rows: the long-form block packer and the
-    streaming store both call it. ``ids`` and ``ts`` are the grid's axes,
-    by default 0..max series_id and 0..max t. The grid must be full (the
-    synchronized-series assumption of the problem definition). A
-    non-finite value, a negative series_id or t, a row outside the given
-    axes, a duplicate (series_id, t) and a hole are each rejected,
-    naming the first offender in (series_id, t) order.
+    The one reader of long-form rows: long-form input to the pair sketch
+    and the streaming store's batches both go through it. ``ids`` and
+    ``ts`` are the grid's axes, by default 0..max series_id and 0..max
+    t. The grid must be full (the synchronized-series assumption of the
+    problem definition). A non-finite value, a negative series_id or t,
+    a row outside the given axes, a duplicate (series_id, t) and a hole
+    are each rejected, naming the first offender in (series_id, t)
+    order.
     """
     sid = pdf["series_id"].to_numpy(dtype=np.int64)
     t = pdf["t"].to_numpy(dtype=np.int64)

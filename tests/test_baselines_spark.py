@@ -120,11 +120,11 @@ ENGINES = {
     "naive": (naive.query, lambda spec: naive.cells),
     "parcorr-raw": (
         lambda spark, X, spec: parcorr.query(spark, X, spec, d=16, seed=3),
-        lambda spec: parcorr.cells(spec, 16, 3, False, None),
+        lambda spec: parcorr.cells(spec, 16, 3, False),
     ),
     "parcorr-verified": (
         lambda spark, X, spec: parcorr.query(spark, X, spec, d=16, seed=3, verify=True),
-        lambda spec: parcorr.cells(spec, 16, 3, True, None),
+        lambda spec: parcorr.cells(spec, 16, 3, True),
     ),
     "statstream": (
         lambda spark, X, spec: statstream.query(spark, X, spec, n_coef=16),

@@ -11,6 +11,11 @@ SQL Python runners keep separate worker pools, so one RDD stage starts a
 second ``pyspark.daemon`` with its own workers. A pair-sketch build done
 that way added ~500–700 MB of peak RSS on the 128-series benchmark and
 left the SQL pool cold, so the first query after it took 2.4 s.
+
+No grouped stage (``groupBy``, ``applyInPandas``) shuffles the rows on
+the way to the sketch: the sketch build reads its bundles from the
+driver, and long-form input is read into a matrix there by
+``tsio.matrix.from_long_pdf``.
 """
 import ast
 from pathlib import Path
@@ -47,6 +52,8 @@ def owners(attr: str) -> list[str]:
         ),
         ("broadcast", ["baselines/naive.py:run_windows"]),
         ("parallelize", []),
+        ("applyInPandas", []),
+        ("groupBy", []),
     ],
 )
 def test_only_the_runners_fan_out(attr, allowed):

@@ -1,17 +1,16 @@
-"""The one long-form reader: ``from_long_pdf`` and the two callers that
-read long rows through it, the block packer and the streaming store."""
+"""The one long-form reader: ``from_long_pdf``, which reads long-form
+input for the pair sketch, and the streaming store, which reads each
+batch through it."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.sketch.blocks import pack_blocks_from_long
 from repro.streaming.sketch_stream import SketchStore
 from repro.synth_data import ar1_matrix
-from repro.tsio.matrix import LONG_SCHEMA, from_long_pdf, to_long_pdf
-from repro.tsio.validation import SlidingSpec
+from repro.tsio.matrix import from_long_pdf, to_long_pdf
 
 N, L = 4, 72
-SPEC = SlidingSpec(start=0, end=48, window=24, step=12, beta=0.5, bw=12)
+BW = 12
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +40,10 @@ def negative_t(pdf):
     pdf = pdf.copy()
     pdf.loc[at(pdf, 0, 23), "t"] = -1
     return pdf
+
+
+def state(store):
+    return store.ids, store.cnt, store.s1, store.sxy, store.folded
 
 
 FAULTS = [
@@ -89,16 +92,9 @@ class TestReader:
             from_long_pdf(pdf, ids=[2, 1, 0])
 
 
-def test_packer_rejects_negative_t(spark, X):
-    pdf = negative_t(to_long_pdf(X[:, :48]))
-    long_df = spark.createDataFrame(pdf, schema=LONG_SCHEMA)
-    with pytest.raises(Exception, match="t=-1 is negative"):
-        pack_blocks_from_long(long_df, SPEC, block_size=N).collect()
-
-
 @pytest.mark.parametrize("fault, message", FAULTS, ids=[f.__name__ for f, _ in FAULTS])
-def test_every_reader_rejects_alike(spark, X, tmp_path, fault, message):
-    """The same fault gets the same message from all three entry points."""
+def test_every_reader_rejects_alike(X, tmp_path, fault, message):
+    """The same fault gets the same message from both entry points."""
     pdf = to_long_pdf(X)
     bad = fault(pdf[pdf["t"] < 48])
 
@@ -106,17 +102,12 @@ def test_every_reader_rejects_alike(spark, X, tmp_path, fault, message):
         from_long_pdf(bad)
     assert message in str(e.value)
 
-    long_df = spark.createDataFrame(bad, schema=LONG_SCHEMA)
-    with pytest.raises(Exception) as e:
-        pack_blocks_from_long(long_df, SPEC, block_size=N).collect()
-    assert message in str(e.value)
-
-    store = SketchStore(str(tmp_path), bw=SPEC.bw)
+    store = SketchStore(str(tmp_path), bw=BW)
     store.apply_batch(pdf[pdf["t"] >= 48])
-    before = [a.copy() for a in (store.ids, store.cnt, store.s1, store.sxy)]
+    before = [a.copy() for a in state(store)]
     with pytest.raises(ValueError) as e:
         store.apply_batch(bad)
     assert message in str(e.value)
-    for a, b in zip(before, (store.ids, store.cnt, store.s1, store.sxy)):
+    for a, b in zip(before, state(store)):
         np.testing.assert_array_equal(a, b)
     assert store.batches_applied == 1

@@ -1,23 +1,26 @@
-"""Block packing and the pair-sketch build against the numpy kernels."""
+"""Block packing and the pair-sketch build against the numpy kernels.
+
+Long-form input reaches the sketch as a matrix read by
+``tsio.matrix.from_long_pdf``; the tests here hold that path to the
+matrix path and to numpy."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.harness import build_sketch
 from repro.sketch import kernels
-from repro.sketch.blocks import (
-    load_bundle,
-    pack_blocks_from_long,
-    pack_blocks_from_matrix,
-)
+from repro.sketch.blocks import load_bundle, pack_blocks_from_matrix, pack_bundles
 from repro.sketch.pair_sketch import (
     band_edges,
     build_pair_block_sketch,
+    build_pair_sketch,
     load_pair_payload,
     pair_tile_arrays,
     tile_layout,
 )
 from repro.synth_data import ar1_matrix
-from repro.tsio.matrix import to_long_df
+from repro.tsio.matrix import from_long_pdf, to_long_df
 from repro.tsio.validation import SlidingSpec
 
 N, L = 7, 120
@@ -37,13 +40,21 @@ def long_df(spark, X):
 
 
 def long_bundles(long_df, block_size):
-    """Block bundles packed from the long form, by block id."""
-    pdf = pack_blocks_from_long(long_df, SPEC, block_size=block_size).toPandas()
-    return pdf.sort_values("block_id").reset_index(drop=True)
+    """Block bundles packed from the long form read into a matrix."""
+    return pack_bundles(from_long_pdf(long_df.toPandas()), SPEC, block_size)
+
+
+def sketch_payloads(spark, X, block_size):
+    """The built sketch's (tid, bi, bj, payload) rows, in tile order."""
+    h = build_sketch(spark, X, SPEC, block_size)
+    try:
+        return h.df.toPandas().sort_values("tid").reset_index(drop=True)
+    finally:
+        h.unpersist()
 
 
 class TestSeriesSketch:
-    """Per-series basic-window statistics of the long-form packing path."""
+    """Per-series basic-window statistics of the long-form path."""
 
     def test_matches_numpy(self, long_df, X):
         means, stds = kernels.bw_means_stds(X, SPEC.bw)
@@ -64,19 +75,19 @@ class TestSeriesSketch:
 
 
 class TestBadInputRejected:
-    """Holes, duplicate rows and non-finite values fail packing loudly."""
+    """Holes, duplicate rows and non-finite values fail before any bundle is built."""
 
     def test_dropped_row(self, long_df):
         holed = long_df.where(~((F.col("series_id") == 4) & (F.col("t") == 50)))
-        with pytest.raises(Exception, match="series 4 has 119 of 120 timesteps"):
-            pack_blocks_from_long(holed, SPEC, block_size=3).collect()
+        with pytest.raises(ValueError, match="series 4 has 119 of 120 timesteps"):
+            from_long_pdf(holed.toPandas())
 
     def test_duplicated_row(self, long_df):
         dup = long_df.unionByName(
             long_df.where((F.col("series_id") == 5) & (F.col("t") == 7))
         )
-        with pytest.raises(Exception, match="series 5 has more than one row at t=7"):
-            pack_blocks_from_long(dup, SPEC, block_size=3).collect()
+        with pytest.raises(ValueError, match="series 5 has more than one row at t=7"):
+            from_long_pdf(dup.toPandas())
 
     def test_nan_from_matrix(self, spark, X):
         bad = X.copy()
@@ -89,36 +100,38 @@ class TestBadInputRejected:
             (F.col("series_id") == 6) & (F.col("t") == 60), F.lit(float("nan"))
         ).otherwise(F.col("value"))
         bad = long_df.withColumn("value", value)
-        with pytest.raises(Exception, match="series 6 has a non-finite value"):
-            pack_blocks_from_long(bad, SPEC, block_size=3).collect()
+        with pytest.raises(ValueError, match="series 6 has a non-finite value"):
+            from_long_pdf(bad.toPandas())
 
-    def test_block_shorter_than_query(self, long_df):
-        # block 2 (series 6) lacks its last basic window
-        short = long_df.where(~((F.col("series_id") == 6) & (F.col("t") >= 108)))
-        with pytest.raises(Exception, match="block 2 .*exceeds series length 108"):
-            pack_blocks_from_long(short, SPEC, block_size=3).collect()
+    def test_block_shorter_than_query(self, X):
+        # the matrix lacks the query's last basic window
+        with pytest.raises(ValueError, match="exceeds series length 108"):
+            pack_bundles(X[:, :108], SPEC, block_size=3)
 
-    def test_unequal_bundles_rejected_by_pair_build(self, long_df):
-        # fits a shorter query, so packing accepts it; the pair build
-        # must still refuse to pair bundles of unequal length
-        short = long_df.where(~((F.col("series_id") == 6) & (F.col("t") >= 108)))
+    def test_unequal_bundles_rejected_by_pair_build(self, spark, X):
+        # each frame fits a shorter query, so packing accepts it; the
+        # pair build must still refuse to pair bundles of unequal length
         spec = SlidingSpec(start=0, end=96, window=24, step=12, beta=0.5, bw=12)
-        blocks = pack_blocks_from_long(short, spec, block_size=3)
+        full = pack_bundles(X, spec, block_size=3)
+        short = pack_bundles(X[:, :108], spec, block_size=3)
+        bundles = pd.concat([full.iloc[:2], short.iloc[2:]], ignore_index=True)
         with pytest.raises(ValueError, match="block 2 has 9 basic windows, other blocks have 10"):
-            build_pair_block_sketch(blocks).count()
+            build_pair_sketch(spark, bundles)
 
 
 class TestBlockPacking:
     def test_matrix_and_long_paths_agree(self, spark, long_df, X):
-        a = pack_blocks_from_matrix(spark, X, SPEC, block_size=3).toPandas()
-        b = pack_blocks_from_long(long_df, SPEC, block_size=3).toPandas()
-        assert sorted(a["block_id"]) == sorted(b["block_id"])
-        for blk in a["block_id"]:
-            ba = load_bundle(a.set_index("block_id").loc[blk, "payload"])
-            bb = load_bundle(b.set_index("block_id").loc[blk, "payload"])
-            np.testing.assert_array_equal(ba["ids"], bb["ids"])
-            np.testing.assert_allclose(ba["means"], bb["means"], atol=1e-12)
-            np.testing.assert_allclose(ba["centred"], bb["centred"], atol=1e-12)
+        # the long rows read into a matrix give the matrix path's bundles
+        # and tile payloads byte for byte
+        Xl = from_long_pdf(long_df.toPandas())
+        for block_size in BLOCK_SIZES:
+            a = pack_bundles(X, SPEC, block_size)
+            b = pack_bundles(Xl, SPEC, block_size)
+            pd.testing.assert_frame_equal(a, b)
+            a = sketch_payloads(spark, X, block_size)
+            b = sketch_payloads(spark, Xl, block_size)
+            pd.testing.assert_frame_equal(a, b)
+            assert len(a) > 0
 
     def test_bundle_contents(self, spark, X):
         pdf = pack_blocks_from_matrix(spark, X, SPEC, block_size=4).toPandas()
@@ -244,13 +257,13 @@ class TestTileLayout:
 
 
 class TestPairSketchRows:
-    def test_matches_numpy(self, long_df, X):
-        # the pair sketch built from long-form bundles, not the matrix path
+    def test_matches_numpy(self, spark, long_df, X):
+        # the pair sketch built from the long form, not the matrix
         xc = kernels.bw_centered(X, SPEC.bw)
         qfull = kernels.pair_bw_cov(xc, xc)
-        blocks = pack_blocks_from_long(long_df, SPEC, block_size=3)
         pairs = 0
-        for _, row in build_pair_block_sketch(blocks).toPandas().iterrows():
+        Xl = from_long_pdf(long_df.toPandas())
+        for _, row in sketch_payloads(spark, Xl, 3).iterrows():
             t = load_pair_payload(row["payload"])
             ii = t["ids_i"][:, None]
             jj = t["ids_j"][None, :]

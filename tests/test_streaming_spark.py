@@ -209,6 +209,51 @@ class TestStoreAssembly:
         # rejected before any fold: the store is still empty
         assert len(store.series_sketch()) == 0 and len(store.pair_sketch()) == 0
 
+    def test_replayed_timestep_rejected(self, tmp_path_factory):
+        # t in [30, 36) re-sent in place of the missing [24, 30): basic
+        # window 1 would count 24 rows and the query would accept it
+        X = np.random.default_rng(1).normal(size=(4, 48))
+        pdf = to_long_pdf(X)
+        store = SketchStore(str(tmp_path_factory.mktemp("replay")), bw=SPEC.bw)
+        store.apply_batch(pdf[(pdf["t"] < 24) | (pdf["t"] >= 30)])
+        store.save()
+        replay = pdf[(pdf["t"] >= 30) & (pdf["t"] < 36)]
+        # the record of folded timesteps survives a save and load
+        for s in (store, SketchStore(store.path, bw=SPEC.bw).load()):
+            before = [a.copy() for a in (s.cnt, s.s1, s.sxy, s.folded)]
+            with pytest.raises(ValueError, match="t=30 is already folded into the store"):
+                s.apply_batch(replay)
+            for a, b in zip(before, (s.cnt, s.s1, s.sxy, s.folded)):
+                np.testing.assert_array_equal(a, b)
+        # the missing timesteps still complete the store
+        store.apply_batch(pdf[(pdf["t"] >= 24) & (pdf["t"] < 30)])
+        means, stds = kernels.bw_means_stds(X, SPEC.bw)
+        tile = store_to_tile(store)
+        np.testing.assert_allclose(tile["means_i"], means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tile["stds_i"], stds, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_constant_series_gets_the_batch_edges(self, spark, tmp_path_factory, beta):
+        # a constant basic window leaves one-pass variance residue; it
+        # must not give the constant series (0) defined cells
+        X = np.random.default_rng(5).normal(size=(4, L))
+        X[0] = 1.1
+        spec = SlidingSpec(start=0, end=L, window=96, step=24, beta=beta, bw=SPEC.bw)
+        store = SketchStore(str(tmp_path_factory.mktemp("constant")), bw=spec.bw)
+        store.apply_batch(to_long_pdf(X))
+        h = build_sketch(spark, X, spec, block_size=2)
+        try:
+            want = tsubasa.query(h.df, spec).toPandas()
+        finally:
+            h.unpersist()
+        got = jumping.sweep(store_to_tile(store), spec).frame()
+        key = ["i", "j", "w"]
+        want = want.sort_values(key).reset_index(drop=True)
+        got = got.sort_values(key).reset_index(drop=True)
+        assert not (want["i"] == 0).any()
+        pd.testing.assert_frame_equal(got[key].astype("int64"), want[key].astype("int64"))
+        np.testing.assert_allclose(got["corr"], want["corr"], rtol=0, atol=1e-9)
+
     def test_negative_timestep_rejected(self, X, tmp_path_factory):
         # a negative basic-window index would wrap onto the last window
         store = SketchStore(str(tmp_path_factory.mktemp("negative")), bw=SPEC.bw)
