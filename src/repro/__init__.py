@@ -10,7 +10,6 @@ paper-vs-measured numbers.
 """
 import functools as _functools
 import os as _os
-import weakref as _weakref
 import zipimport as _zipimport
 
 # glibc hands every large (>128 KiB) allocation its own mmap and returns
@@ -35,17 +34,27 @@ def _guard_zip_invalidation() -> None:
     path re-read its archive's directory: 14–16 importers over the
     1,328-entry ``pyspark.zip``, 160–350 ms per task on a 4-core host,
     more than a whole sparse query's kernel. Invalidation is kept, not
-    switched off: an importer re-reads whenever its archive's (inode,
-    size, mtime_ns) differ from its last read, or the archive cannot be
-    stat'ed, so a rewritten, replaced or deleted archive is still seen.
-    Unchanged, the call costs one ``stat``. Every Python worker imports
-    ``repro`` when it unpickles a task's closure, so a reused worker skips
-    the re-reads from its next task on.
+    switched off. The memo is keyed by archive path, not by importer: it
+    holds the archive's (inode, size, mtime_ns) and the directory read at
+    that key. An importer whose archive still has that key takes the
+    stored directory with no read; otherwise, or when the archive cannot
+    be stat'ed, the original method reads it, so a rewritten, replaced or
+    deleted archive is still seen. So one invalidation reads each changed
+    archive once, however many importers (the archive's root and its
+    package prefixes) share it, and an unchanged one costs a ``stat``.
+    This relies on CPython 3.11's ``zipimporter._files``, the directory
+    the original method replaces and the importer's lookups read.
+
+    Every Python worker imports ``repro`` when it unpickles a task's
+    closure, after that task's own invalidation has run unguarded. A
+    fresh worker's second task therefore reads each archive on its path
+    once (3 reads for a PySpark worker's 16 importers), and from its
+    third task on it reads nothing until an archive changes.
     """
     original = _zipimport.zipimporter.invalidate_caches
     if getattr(original, "stat_guarded", False):
         return
-    read_at = _weakref.WeakKeyDictionary()  # importer -> archive stat at its last read
+    read_at = {}  # archive path -> (stat key, directory read at that key)
 
     @_functools.wraps(original)
     def invalidate_caches(self):
@@ -54,13 +63,15 @@ def _guard_zip_invalidation() -> None:
             key = (st.st_ino, st.st_size, st.st_mtime_ns)
         except OSError:
             key = None
-        if key is not None and read_at.get(self) == key:
+        memo = read_at.get(self.archive)
+        if key is not None and memo is not None and memo[0] == key:
+            self._files = memo[1]
             return
         original(self)
         if key is None:
-            read_at.pop(self, None)
+            read_at.pop(self.archive, None)
         else:
-            read_at[self] = key
+            read_at[self.archive] = (key, self._files)
 
     invalidate_caches.stat_guarded = True
     _zipimport.zipimporter.invalidate_caches = invalidate_caches

@@ -44,13 +44,12 @@ def make_bundle(ids: np.ndarray, xblk: np.ndarray, bw: int) -> bytes:
             "fill or drop it before packing"
         )
     means, stds = kernels.bw_means_stds(xblk, bw)
-    centred = kernels.bw_centered(xblk, bw)
     return pickle.dumps(
         {
             "ids": np.asarray(ids, dtype=np.int64),
             "means": means,
             "stds": stds,
-            "centred": centred.astype(np.float64),
+            "centred": kernels.bw_centered(xblk, bw),
         },
         protocol=4,
     )
