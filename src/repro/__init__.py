@@ -12,15 +12,16 @@ import functools as _functools
 import os as _os
 import zipimport as _zipimport
 
-# glibc hands every large (>128 KiB) allocation its own mmap and returns
-# it to the OS on free, so each Arrow-kernel invocation re-faults tens of
-# MB of pages — under this sandbox's virtualized kernel that costs whole
-# seconds and drowns engine timing differences in allocation noise.
-# Raising the mmap threshold keeps big numpy buffers on the heap where
-# they are reused warm. Set at import time so the Spark JVM (launched
-# later by the session fixture) passes it through to the Python workers
-# that actually run the kernels; a JVM started before this import
-# (``spark-submit``) gets them from ``harness.spark_session``.
+# glibc hands an allocation above its mmap threshold its own mapping and
+# returns it to the OS on free. The threshold adapts upward but never
+# past 32 MiB, so a kernel's larger buffers (T1's tiles are ~49 MB) are
+# faulted in afresh on every allocation, at ~2 µs per 4 KiB page on the
+# 4-core host. Raising the mmap and trim thresholds keeps big numpy
+# buffers on the heap where they are reused warm. Set at import time so
+# the Spark JVM (launched later by the session fixture) passes it through
+# to the Python workers that actually run the kernels; a JVM started
+# before this import (``spark-submit``) gets them from
+# ``harness.spark_session``.
 MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 for _name in MALLOC_ENV:
     _os.environ.setdefault(_name, str(1 << 30))

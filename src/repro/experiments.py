@@ -9,8 +9,9 @@ these runners produce.
 Timing discipline: the pair sketch is built once per dataset (shared by
 every engine — the paper's "pure query time" excludes it but we report
 it), each engine's query is run ``reps`` times and the minimum wall time
-is reported. The minimum matters here: first-touch allocations show ±40%
-run-to-run noise on the virtualized hosts these tables were run on.
+is reported. The minimum matters here: a run that lands on a cold Python
+worker, or on a moment of load on a shared host, pays seconds unrelated
+to the engine.
 """
 from __future__ import annotations
 
@@ -117,11 +118,11 @@ class EngineRun:
 def _min_run(run_once, reps: int) -> tuple[pd.DataFrame, float]:
     """Repeat a timed run and report the MINIMUM (timeit-style).
 
-    The sandbox's virtualized kernel makes first-touch page faults cost
-    ~30µs/page, so any run that lands on a cold Python worker pays
-    seconds of allocation noise unrelated to the engine. The minimum
-    over reps is the standard robust estimator of the warm-path cost
-    and is what the tables report.
+    A run that lands on a cold Python worker pays its start-up and
+    first-touch page faults (~2 µs per 4 KiB page on the 4-core host,
+    ~25 ms per fresh 49 MB buffer) on top of the engine's work. The
+    minimum over reps is the standard robust estimator of the warm-path
+    cost and is what the tables report.
     """
     times, last = [], None
     for _ in range(reps):

@@ -15,7 +15,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import MALLOC_ENV
-from repro.sketch.blocks import pack_bundles
 from repro.sketch.pair_sketch import build_pair_sketch
 from repro.tsio.validation import SlidingSpec
 
@@ -67,10 +66,11 @@ def build_sketch(
     """Build and cache the block-pair sketch; the shared pre-query phase.
 
     Both engines consume this handle, so "pure query time" (the paper's
-    metric) starts after it returns.
+    metric) starts after it returns. Rejects a query that does not fit X.
     """
     t0 = time.perf_counter()
-    sketch = build_pair_sketch(spark, pack_bundles(X, spec, block_size)).cache()
+    spec.validate_against(X.shape[1])
+    sketch = build_pair_sketch(spark, X, spec.bw, block_size).cache()
     sketch.count()  # materialise the cache before any timing starts
     return SketchHandle(
         sketch, time.perf_counter() - t0, X.shape[0], block_size

@@ -10,8 +10,9 @@ verified against ``np.corrcoef`` and DuckDB in the tests.
 Layers:
 
 - ``kernels``     — pure numpy math shared by every engine;
-- ``blocks``      — packing series into block bundles for all-pairs fan-out;
-- ``pair_sketch`` — building from block bundles the tiles of the pair
+- ``pair_sketch`` — building from the dense matrix the tiles of the pair
                     sketch (per-bw covariances, means and stds) that every
-                    query engine consumes.
+                    query engine consumes, one per block pair;
+- ``blocks``      — the matrix's raw row blocks as a DataFrame, for a
+                    caller that times packing apart from the build.
 """

@@ -163,6 +163,17 @@ def eval_at_window(
 # Raw-window correlation: the reference, and the raw-data engines' kernels
 # --------------------------------------------------------------------------
 
+def varies(seg: np.ndarray) -> np.ndarray:
+    """Whether each row of a window takes more than one value: (N, l) -> (N,).
+
+    Decided exactly, not from the centred norm: ``seg - seg.mean()``
+    leaves rounding residue in a constant row whenever its mean does not
+    round-trip (13.7 does not, 2.0 does), which would give it a tiny
+    direction and correlations near 0 instead of undefined ones.
+    """
+    return seg.max(axis=1) > seg.min(axis=1)
+
+
 def unit_rows(seg: np.ndarray) -> np.ndarray:
     """Each row of a window centred and scaled to unit norm: (N, l) -> (N, l).
 
@@ -173,7 +184,7 @@ def unit_rows(seg: np.ndarray) -> np.ndarray:
     segc = seg - seg.mean(axis=1, keepdims=True)
     norms = np.sqrt((segc * segc).sum(axis=1, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(norms > 0, segc / norms, np.nan)
+        return np.where((norms > 0) & varies(seg)[:, None], segc / norms, np.nan)
 
 
 def window_corr(seg: np.ndarray) -> np.ndarray:
@@ -185,8 +196,9 @@ def window_corr(seg: np.ndarray) -> np.ndarray:
     norms = np.sqrt((segc * segc).sum(axis=1))
     cov = segc @ segc.T
     den = np.outer(norms, norms)
+    ok = varies(seg)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, cov / den, np.nan)
+        return np.where((den > 0) & ok[:, None] & ok[None, :], cov / den, np.nan)
 
 
 def exact_window_corr(X: np.ndarray, spec: SlidingSpec) -> np.ndarray:

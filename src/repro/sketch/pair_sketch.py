@@ -1,12 +1,12 @@
 """Pairwise basic-window covariance sketch.
 
-``build_pair_sketch`` lays the sketch's tiles out on the driver from
-the block bundles and computes each tile's pairwise bw-covariance
-tensor with an einsum kernel, in one shuffle-free ``mapInPandas``
-stage. The result — one binary payload per tile, one tile per Spark
-partition — is what every query engine (TSUBASA, Dangoron, horizontal
-pruning) consumes; building it is the shared "sketch build" phase that
-pure query time excludes.
+``build_pair_sketch`` takes the dense matrix, lays the sketch's tiles
+out on the driver over blocks of consecutive series and computes each
+tile's pairwise bw-covariance tensor with an einsum kernel, in one
+shuffle-free ``mapInPandas`` stage. The result — one binary payload per
+tile, one tile per Spark partition — is what every query engine
+(TSUBASA, Dangoron, horizontal pruning) consumes; building it is the
+shared "sketch build" phase that pure query time excludes.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.sketch import kernels
-from repro.sketch.blocks import load_bundle
 
 PAIR_BLOCK_SCHEMA = "tid long, bi long, bj long, payload binary"
 
@@ -81,18 +80,36 @@ def tile_layout(
     return [(tid, *t[1:]) for tid, t in enumerate(tiles)]
 
 
-def build_pair_sketch(spark: SparkSession, bundles: pd.DataFrame) -> DataFrame:
-    """Block bundles held on the driver -> one sketch tile per partition.
+def require_finite(X: np.ndarray) -> None:
+    """Reject NaN and inf values, naming the first one's series and t.
 
-    ``bundles`` has one (block_id, n, n_bw, payload) row per block
-    (``blocks.pack_bundles``). Rejects blocks of unequal basic-window
-    counts before any tile is built, lays out the tiles with
-    ``tile_layout`` over ``defaultParallelism``, and builds them in one
-    ``mapInPandas`` stage over ``spark.range(0, T, 1, T)``: partition t
-    holds tile id t alone, so the stage needs no shuffle. Each task reads
-    its tile's layout row and block bundles from the task closure, which
-    PySpark ships as a broadcast once it passes 1 MiB; the bundles cross
-    to the workers once, Θ(N·L) bytes.
+    Either would silently turn every window it touches into an undefined
+    cell and drop that window's edges.
+    """
+    finite = np.isfinite(X)
+    if not finite.all():
+        s, t = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"series {int(s)} has a non-finite value ({X[s, t]}) at t={int(t)}; "
+            "fill or drop it before building the sketch"
+        )
+
+
+def build_pair_sketch(
+    spark: SparkSession, X: np.ndarray, bw: int, block_size: int
+) -> DataFrame:
+    """The dense (N, L) matrix -> one sketch tile per partition.
+
+    Rejects a non-finite value (``require_finite``), computes the
+    per-bw means, stds and bw-centred data of the whole matrix on the
+    driver, lays out the tiles with ``tile_layout`` over blocks of
+    ``block_size`` consecutive series and ``defaultParallelism``, and
+    builds them in one ``mapInPandas`` stage over
+    ``spark.range(0, T, 1, T)``: partition t holds tile id t alone, so
+    the stage needs no shuffle. Each task slices its tile's global rows
+    and columns from the three arrays in the task closure, which PySpark
+    ships as a broadcast once it passes 1 MiB; they cross to the workers
+    once, Θ(N·L) bytes.
 
     The payload holds everything Eq.-1 evaluation needs for the tile:
     global series ids and per-bw means/stds of its i rows and j columns,
@@ -101,41 +118,34 @@ def build_pair_sketch(spark: SparkSession, bundles: pd.DataFrame) -> DataFrame:
     works purely from sketch statistics, as the paper's framework
     prescribes.
     """
-    n_bw = int(bundles["n_bw"].max()) if len(bundles) else 0
-    short = bundles[bundles["n_bw"] != n_bw]
-    if len(short):
-        r = short.loc[short["block_id"].idxmin()]
-        raise ValueError(
-            f"block {r.block_id} has {r.n_bw} basic windows, other blocks have {n_bw}; "
-            "every block must cover the same timesteps"
-        )
+    require_finite(X)
+    means, stds = kernels.bw_means_stds(X, bw)
+    centred = kernels.bw_centered(X, bw)
+    n = X.shape[0]
+    ids = np.arange(n, dtype=np.int64)
     layout = tile_layout(
-        dict(zip(bundles["block_id"].tolist(), bundles["n"].tolist())),
+        {b: min(block_size, n - lo) for b, lo in enumerate(range(0, n, block_size))},
         spark.sparkContext.defaultParallelism,
     )
-    payloads = dict(zip(bundles["block_id"].tolist(), bundles["payload"]))
 
     def build(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in it:
             out = []
             for tid in pdf["id"].tolist():
                 _, bi, bj, lo, hi = layout[tid]
-                diag = bi == bj
-                ba = load_bundle(payloads[bi])
-                bb = ba if diag else load_bundle(payloads[bj])
-                band = slice(lo, hi)
+                rows = slice(bi * block_size + lo, bi * block_size + hi)
                 # a diagonal band pairs its rows only with later series
-                cols = slice(lo if diag else 0, None)
+                first = rows.start if bi == bj else bj * block_size
+                cols = slice(first, min((bj + 1) * block_size, n))
                 payload = pickle.dumps(
                     {
-                        "ids_i": ba["ids"][band],
-                        "ids_j": bb["ids"][cols],
-                        "means_i": ba["means"][band],
-                        "stds_i": ba["stds"][band],
-                        "means_j": bb["means"][cols],
-                        "stds_j": bb["stds"][cols],
-                        "q": kernels.pair_bw_cov(ba["centred"][band], bb["centred"][cols]),
-                        "diag": diag,
+                        "ids_i": ids[rows],
+                        "ids_j": ids[cols],
+                        "means_i": means[rows],
+                        "stds_i": stds[rows],
+                        "means_j": means[cols],
+                        "stds_j": stds[cols],
+                        "q": kernels.pair_bw_cov(centred[rows], centred[cols]),
                     },
                     protocol=4,
                 )
@@ -148,9 +158,14 @@ def build_pair_sketch(spark: SparkSession, bundles: pd.DataFrame) -> DataFrame:
 
 
 def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
-    """``build_pair_sketch`` over a block-bundle DataFrame
-    (``blocks.pack_blocks_from_matrix``), collected once to the driver."""
-    return build_pair_sketch(blocks_df.sparkSession, blocks_df.toPandas())
+    """``build_pair_sketch`` over the raw row blocks of
+    ``blocks.pack_blocks_from_matrix``, collected once to the driver and
+    stacked back into the matrix. The blocks' n_bw gives bw, since the
+    packer checked that bw divides the series length."""
+    pdf = blocks_df.toPandas().sort_values("block_id")
+    X = np.concatenate([pickle.loads(p) for p in pdf["payload"]])
+    bw = X.shape[1] // int(pdf["n_bw"].iloc[0])
+    return build_pair_sketch(blocks_df.sparkSession, X, bw, int(pdf["n"].max()))
 
 
 def load_pair_payload(payload: bytes) -> dict:
@@ -162,17 +177,10 @@ def pair_tile_arrays(tile: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten a tile into per-pair arrays, excluding self/duplicate pairs.
 
     Returns (pi, pj, rows) where pi/pj index into the tile's local
-    series axes and rows selects the flattened (ni·nj) pair axis. For a
-    diagonal tile (or a row band of one) only pairs with global
-    ids_i < ids_j are kept; off-diagonal tiles keep the full cross
-    product.
+    series axes and rows selects the flattened (ni·nj) pair axis. Only
+    pairs with global ids_i < ids_j are kept, in row-major order: all of
+    an off-diagonal tile's (the build makes no tile with bi > bj), the
+    upper triangle of a diagonal one or of its row band.
     """
-    ni = len(tile["ids_i"])
-    nj = len(tile["ids_j"])
-    gi, gj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    pi, pj = gi.reshape(-1), gj.reshape(-1)
-    if tile["diag"]:
-        keep = tile["ids_i"][pi] < tile["ids_j"][pj]
-        pi, pj = pi[keep], pj[keep]
-    rows = pi * nj + pj
-    return pi, pj, rows
+    pi, pj = np.nonzero(tile["ids_i"][:, None] < tile["ids_j"][None, :])
+    return pi, pj, pi * len(tile["ids_j"]) + pj

@@ -61,7 +61,6 @@ def store_to_tile(store: SketchStore) -> dict:
         "means_j": means,
         "stds_j": stds,
         "q": q,
-        "diag": True,
     }
 
 

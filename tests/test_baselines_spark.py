@@ -27,12 +27,16 @@ def X_conc():
     return generate(sample_target("block", N, seed=31), L, alpha=2.0, seed=32)
 
 
+def with_constant(X, value):
+    """X with series 5 constant at ``value`` over t in [200, 600): windows 3 and 4."""
+    X = X.copy()
+    X[5, 200:600] = value
+    return X
+
+
 @pytest.fixture(scope="module")
 def X_const(X_conc):
-    """X_conc with series 5 constant over t in [200, 600): windows 3 and 4."""
-    X = X_conc.copy()
-    X[5, 200:600] = 2.0
-    return X
+    return with_constant(X_conc, 2.0)
 
 
 def exact_cells(X):
@@ -170,3 +174,13 @@ class TestRunWindows:
         assert len(got) > 0
         undefined = np.isnan(ref[got["i"], got["j"], got["w"]])
         assert not undefined.any(), f"{int(undefined.sum())} undefined cells emitted"
+
+
+class TestRunWindowsInexactMean(TestRunWindows):
+    """The same checks with a constant whose window mean does not round-trip
+    (13.7, unlike 2.0): centring leaves rounding residue in the row, which
+    must still read as constant, not as a tiny direction with corr ≈ 0."""
+
+    @pytest.fixture(scope="class")
+    def X_const(self, X_conc):
+        return with_constant(X_conc, 13.7)

@@ -157,7 +157,6 @@ def whole_tile(X) -> dict:
     return {
         "ids_i": ids, "ids_j": ids, "means_i": means, "stds_i": stds,
         "means_j": means, "stds_j": stds, "q": kernels.pair_bw_cov(xc, xc),
-        "diag": True,
     }
 
 

@@ -28,7 +28,6 @@ def make_tile(X, spec):
         "means_j": means,
         "stds_j": stds,
         "q": q,
-        "diag": True,
     }
 
 
@@ -121,7 +120,6 @@ def make_cross_tile(X, split, spec):
         "q": kernels.pair_bw_cov(
             kernels.bw_centered(X[:split], spec.bw), kernels.bw_centered(X[split:], spec.bw)
         ),
-        "diag": False,
     }
 
 
@@ -279,7 +277,7 @@ def make_band(X, lo, hi, spec):
         "ids_i": tile["ids_i"][lo:hi], "ids_j": tile["ids_j"][lo:],
         "means_i": tile["means_i"][lo:hi], "stds_i": tile["stds_i"][lo:hi],
         "means_j": tile["means_j"][lo:], "stds_j": tile["stds_j"][lo:],
-        "q": tile["q"][lo:hi, lo:], "diag": True,
+        "q": tile["q"][lo:hi, lo:],
     }
 
 
@@ -300,7 +298,7 @@ def dyadic_tile(n, n_bw, seed):
     zeros, ones = np.zeros((n, n_bw)), np.ones((n, n_bw))
     return {
         "ids_i": ids, "ids_j": ids, "means_i": zeros, "stds_i": ones,
-        "means_j": zeros, "stds_j": ones, "q": q, "diag": True,
+        "means_j": zeros, "stds_j": ones, "q": q,
     }
 
 

@@ -13,9 +13,9 @@ that way added ~500–700 MB of peak RSS on the 128-series benchmark and
 left the SQL pool cold, so the first query after it took 2.4 s.
 
 No grouped stage (``groupBy``, ``applyInPandas``) shuffles the rows on
-the way to the sketch: the sketch build reads its bundles from the
-driver, and long-form input is read into a matrix there by
-``tsio.matrix.from_long_pdf``.
+the way to the sketch: the sketch build takes the matrix on the driver
+and ships it in the task closure, and long-form input is read into a
+matrix there by ``tsio.matrix.from_long_pdf``.
 """
 import ast
 from pathlib import Path

@@ -1,8 +1,10 @@
-"""Block packing and the pair-sketch build against the numpy kernels.
+"""The pair-sketch build against the numpy kernels.
 
 Long-form input reaches the sketch as a matrix read by
 ``tsio.matrix.from_long_pdf``; the tests here hold that path to the
 matrix path and to numpy."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,11 +12,10 @@ from pyspark.sql import functions as F
 
 from repro.harness import build_sketch
 from repro.sketch import kernels
-from repro.sketch.blocks import load_bundle, pack_blocks_from_matrix, pack_bundles
+from repro.sketch.blocks import pack_blocks_from_matrix
 from repro.sketch.pair_sketch import (
     band_edges,
     build_pair_block_sketch,
-    build_pair_sketch,
     load_pair_payload,
     pair_tile_arrays,
     tile_layout,
@@ -39,11 +40,6 @@ def long_df(spark, X):
     return df
 
 
-def long_bundles(long_df, block_size):
-    """Block bundles packed from the long form read into a matrix."""
-    return pack_bundles(from_long_pdf(long_df.toPandas()), SPEC, block_size)
-
-
 def sketch_payloads(spark, X, block_size):
     """The built sketch's (tid, bi, bj, payload) rows, in tile order."""
     h = build_sketch(spark, X, SPEC, block_size)
@@ -53,29 +49,34 @@ def sketch_payloads(spark, X, block_size):
         h.unpersist()
 
 
+def long_tiles(spark, long_df, block_size):
+    """The tiles of the sketch built from the long form read into a matrix."""
+    pdf = sketch_payloads(spark, from_long_pdf(long_df.toPandas()), block_size)
+    return [load_pair_payload(p) for p in pdf["payload"]]
+
+
 class TestSeriesSketch:
-    """Per-series basic-window statistics of the long-form path."""
+    """Per-series basic-window statistics in the tiles of the long-form path."""
 
-    def test_matches_numpy(self, long_df, X):
+    def test_matches_numpy(self, spark, long_df, X):
         means, stds = kernels.bw_means_stds(X, SPEC.bw)
-        seen = 0
-        for payload in long_bundles(long_df, 3)["payload"]:
-            b = load_bundle(payload)
-            np.testing.assert_allclose(b["means"], means[b["ids"]], atol=1e-9)
-            np.testing.assert_allclose(b["stds"], stds[b["ids"]], atol=1e-9)
-            seen += len(b["ids"])
-        assert seen == N
+        seen = set()
+        for t in long_tiles(spark, long_df, 3):
+            for side in ("i", "j"):
+                ids = t[f"ids_{side}"]
+                np.testing.assert_allclose(t[f"means_{side}"], means[ids], atol=1e-9)
+                np.testing.assert_allclose(t[f"stds_{side}"], stds[ids], atol=1e-9)
+                seen.update(ids.tolist())
+        assert seen == set(range(N))
 
-    def test_counts_full(self, long_df):
-        pdf = long_bundles(long_df, 3)
-        assert pdf["n"].sum() == N
-        assert (pdf["n_bw"] == L // SPEC.bw).all()
-        for payload in pdf["payload"]:
-            assert load_bundle(payload)["means"].shape[1] == L // SPEC.bw
+    def test_counts_full(self, spark, long_df):
+        for t in long_tiles(spark, long_df, 3):
+            assert t["means_i"].shape == (len(t["ids_i"]), L // SPEC.bw)
+            assert t["stds_j"].shape == (len(t["ids_j"]), L // SPEC.bw)
 
 
 class TestBadInputRejected:
-    """Holes, duplicate rows and non-finite values fail before any bundle is built."""
+    """Holes, duplicate rows and non-finite values fail before any tile is built."""
 
     def test_dropped_row(self, long_df):
         holed = long_df.where(~((F.col("series_id") == 4) & (F.col("t") == 50)))
@@ -93,7 +94,7 @@ class TestBadInputRejected:
         bad = X.copy()
         bad[2, 30] = np.nan
         with pytest.raises(ValueError, match="series 2 has a non-finite value"):
-            pack_blocks_from_matrix(spark, bad, SPEC, block_size=3)
+            build_sketch(spark, bad, SPEC, block_size=3)
 
     def test_nan_from_long(self, long_df):
         value = F.when(
@@ -103,42 +104,31 @@ class TestBadInputRejected:
         with pytest.raises(ValueError, match="series 6 has a non-finite value"):
             from_long_pdf(bad.toPandas())
 
-    def test_block_shorter_than_query(self, X):
+    def test_block_shorter_than_query(self, spark, X):
         # the matrix lacks the query's last basic window
         with pytest.raises(ValueError, match="exceeds series length 108"):
-            pack_bundles(X[:, :108], SPEC, block_size=3)
-
-    def test_unequal_bundles_rejected_by_pair_build(self, spark, X):
-        # each frame fits a shorter query, so packing accepts it; the
-        # pair build must still refuse to pair bundles of unequal length
-        spec = SlidingSpec(start=0, end=96, window=24, step=12, beta=0.5, bw=12)
-        full = pack_bundles(X, spec, block_size=3)
-        short = pack_bundles(X[:, :108], spec, block_size=3)
-        bundles = pd.concat([full.iloc[:2], short.iloc[2:]], ignore_index=True)
-        with pytest.raises(ValueError, match="block 2 has 9 basic windows, other blocks have 10"):
-            build_pair_sketch(spark, bundles)
+            build_sketch(spark, X[:, :108], SPEC, block_size=3)
 
 
 class TestBlockPacking:
     def test_matrix_and_long_paths_agree(self, spark, long_df, X):
-        # the long rows read into a matrix give the matrix path's bundles
-        # and tile payloads byte for byte
+        # the long rows read into a matrix give the matrix path's tile
+        # payloads byte for byte
         Xl = from_long_pdf(long_df.toPandas())
         for block_size in BLOCK_SIZES:
-            a = pack_bundles(X, SPEC, block_size)
-            b = pack_bundles(Xl, SPEC, block_size)
-            pd.testing.assert_frame_equal(a, b)
             a = sketch_payloads(spark, X, block_size)
             b = sketch_payloads(spark, Xl, block_size)
             pd.testing.assert_frame_equal(a, b)
             assert len(a) > 0
 
     def test_bundle_contents(self, spark, X):
+        # the traced setup's blocks are X's raw rows, block_size at a time
         pdf = pack_blocks_from_matrix(spark, X, SPEC, block_size=4).toPandas()
-        assert pdf["n"].sum() == N
-        b0 = load_bundle(pdf.sort_values("block_id")["payload"].iloc[0])
-        means, _ = kernels.bw_means_stds(X[:4], SPEC.bw)
-        np.testing.assert_allclose(b0["means"], means, atol=1e-12)
+        pdf = pdf.sort_values("block_id")
+        assert pdf["n"].tolist() == [4, 3]
+        assert (pdf["n_bw"] == L // SPEC.bw).all()
+        blocks = [pickle.loads(p) for p in pdf["payload"]]
+        np.testing.assert_array_equal(np.concatenate(blocks), X)
 
 
 # Block sizes of the sketches the pair-sketch tests run over. One block
