@@ -113,7 +113,10 @@ def sweep(
     bound is sound, so no edge is lost. A NaN bound (an undefined pivot
     correlation, or the pivot's own NaN row) never masks.
 
-    ``tile`` is a payload from ``pair_sketch.load_pair_payload``.
+    ``tile`` is a tile from ``pair_sketch.load_pair_payload`` (its q a
+    read-only mapping of the tile's file) or the same arrays in memory,
+    as ``streaming.query.store_to_tile`` builds them; the sweep only
+    reads it.
     """
     w_total, beta = spec.n_windows, spec.beta
     pi, pj, rows = pair_tile_arrays(tile)

@@ -7,20 +7,24 @@ paper's claims.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro import MALLOC_ENV
-from repro.sketch.pair_sketch import build_pair_sketch
+from repro.sketch.pair_sketch import build_pair_sketch, new_sketch_dir, tile_path
 from repro.tsio.validation import SlidingSpec
 
 DEFAULT_BLOCK_SIZE = 16
-# The driver heap of a job started with ``python``: it caches the pair
-# sketch, and T1's (10 tiles of ~49 MB) overflows the JVM's 1 GiB default.
+# The driver heap of a job started with ``python``. It was sized when the
+# cache held each tile's q, and T1's (10 tiles of ~49 MB) overflowed the
+# JVM's 1 GiB default; the cache now holds manifests (~15 MB for T1), and
+# a smaller heap is untested.
 DRIVER_MEMORY = "4g"
 
 
@@ -46,15 +50,28 @@ def spark_session(app_name: str) -> SparkSession:
 
 @dataclass
 class SketchHandle:
-    """A cached, materialised pair sketch plus its build time."""
+    """A cached, materialised pair sketch plus its build time.
+
+    The handle owns ``directory``, which holds the tiles' q files, and
+    ``tile_bytes``: one (tid, bi, bj, manifest_bytes, file_bytes) row per
+    tile, the cached payload's size and its q file's.
+    """
 
     df: DataFrame
     build_seconds: float
     n_series: int
     block_size: int
+    directory: str
+    tile_bytes: pd.DataFrame
 
     def unpersist(self) -> None:
+        """Release the cached manifests and remove the tile files.
+
+        A query on ``df`` afterwards raises: the build does not make the
+        removed directory again.
+        """
         self.df.unpersist()
+        shutil.rmtree(self.directory, ignore_errors=True)
 
 
 def build_sketch(
@@ -67,13 +84,28 @@ def build_sketch(
 
     Both engines consume this handle, so "pure query time" (the paper's
     metric) starts after it returns. Rejects a query that does not fit X.
+    The tiles' q files go to a fresh directory that the handle owns; it
+    is made inside the session's temporary directory, so a handle never
+    released is removed when the session's JVM exits.
     """
     t0 = time.perf_counter()
     spec.validate_against(X.shape[1])
-    sketch = build_pair_sketch(spark, X, spec.bw, block_size).cache()
-    sketch.count()  # materialise the cache before any timing starts
+    directory = new_sketch_dir(spark)
+    try:
+        sketch = build_pair_sketch(spark, X, spec.bw, block_size, directory).cache()
+        # the action that materialises the cache before any timing starts
+        # also brings back each tile's sizes
+        rows = sketch.select(
+            "tid", "bi", "bj", F.length("payload").alias("manifest_bytes")
+        ).collect()
+    except BaseException:
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+    tiles = pd.DataFrame(rows, columns=["tid", "bi", "bj", "manifest_bytes"])
+    tiles["file_bytes"] = [os.path.getsize(tile_path(directory, t)) for t in tiles["tid"]]
     return SketchHandle(
-        sketch, time.perf_counter() - t0, X.shape[0], block_size
+        sketch, time.perf_counter() - t0, X.shape[0], block_size, directory,
+        tiles.sort_values("tid", ignore_index=True),
     )
 
 

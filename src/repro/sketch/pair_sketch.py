@@ -7,11 +7,21 @@ shuffle-free ``mapInPandas`` stage. The result — one binary payload per
 tile, one tile per Spark partition — is what every query engine
 (TSUBASA, Dangoron, horizontal pruning) consumes; building it is the
 shared "sketch build" phase that pure query time excludes.
+
+A tile's q, about 90% of its bytes, does not travel in the payload: the
+build task writes it as an uncompressed ``.npy`` file into the sketch's
+directory, and the payload is a small pickled manifest (the per-series
+arrays, plus q's path, dtype, shape and file size). ``load_pair_payload``
+maps the file read-only, so a query moves only the manifests through
+the JVM, and the OS page cache shares q across workers and queries.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import pickle
+import tempfile
 from typing import Iterator
 
 import numpy as np
@@ -95,8 +105,57 @@ def require_finite(X: np.ndarray) -> None:
         )
 
 
+def new_sketch_dir(spark: SparkSession) -> str:
+    """A fresh, empty directory for one sketch's tile files.
+
+    It is made inside the directory PySpark creates for the context
+    under ``spark.local.dir`` (``SparkContext._temp_dir``, a private
+    name: PySpark keeps its own broadcast files there, and the JVM
+    registered it with its shutdown hook, which removes it when the JVM
+    exits). So a sketch that no handle releases is removed with its
+    session, and nothing is left in the temp directory.
+    """
+    return tempfile.mkdtemp(prefix="pair-sketch-", dir=spark.sparkContext._temp_dir)
+
+
+def tile_path(directory: str, tid: int) -> str:
+    """The file that holds tile ``tid``'s q."""
+    return os.path.join(directory, f"tile-{tid}.npy")
+
+
+def write_tile_q(directory: str, tid: int, q: np.ndarray) -> int:
+    """Write q to the tile's file and return the file's size in bytes.
+
+    The bytes go to a temporary name in the same directory, which then
+    replaces the tile's file, so a reader never maps a partial file and a
+    recomputed partition swaps in the same bytes. A removed directory is
+    never made again: a sketch that was released cannot be rebuilt.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".tile-{tid}-", dir=directory)
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"sketch directory {directory} is gone: the sketch was released "
+            "(unpersist) and its tiles are not rebuilt"
+        ) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, q)
+            size = fh.tell()
+        os.replace(tmp, tile_path(directory, tid))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return size
+
+
 def build_pair_sketch(
-    spark: SparkSession, X: np.ndarray, bw: int, block_size: int
+    spark: SparkSession,
+    X: np.ndarray,
+    bw: int,
+    block_size: int,
+    directory: str | None = None,
 ) -> DataFrame:
     """The dense (N, L) matrix -> one sketch tile per partition.
 
@@ -111,14 +170,21 @@ def build_pair_sketch(
     ships as a broadcast once it passes 1 MiB; they cross to the workers
     once, Θ(N·L) bytes.
 
-    The payload holds everything Eq.-1 evaluation needs for the tile:
-    global series ids and per-bw means/stds of its i rows and j columns,
-    and the pairwise bw covariance tensor q (ni, nj, n_bw). The centred
-    raw data is *not* carried forward — after this stage every engine
-    works purely from sketch statistics, as the paper's framework
+    The tile holds everything Eq.-1 evaluation needs: global series ids
+    and per-bw means/stds of its i rows and j columns, which the payload
+    carries, and the pairwise bw covariance tensor q (ni, nj, n_bw),
+    which the task writes to ``tile_path(directory, tid)``
+    (``write_tile_q``); the payload names that file. ``directory`` must
+    exist and is owned by the caller (``harness.build_sketch`` hands its
+    handle's); without one, the build makes its own with
+    ``new_sketch_dir``, which lives until the session's JVM exits. The
+    centred raw data is *not* carried forward — after this stage every
+    engine works purely from sketch statistics, as the paper's framework
     prescribes.
     """
     require_finite(X)
+    if directory is None:
+        directory = new_sketch_dir(spark)
     means, stds = kernels.bw_means_stds(X, bw)
     centred = kernels.bw_centered(X, bw)
     n = X.shape[0]
@@ -137,6 +203,7 @@ def build_pair_sketch(
                 # a diagonal band pairs its rows only with later series
                 first = rows.start if bi == bj else bj * block_size
                 cols = slice(first, min((bj + 1) * block_size, n))
+                q = kernels.pair_bw_cov(centred[rows], centred[cols])
                 payload = pickle.dumps(
                     {
                         "ids_i": ids[rows],
@@ -145,7 +212,11 @@ def build_pair_sketch(
                         "stds_i": stds[rows],
                         "means_j": means[cols],
                         "stds_j": stds[cols],
-                        "q": kernels.pair_bw_cov(centred[rows], centred[cols]),
+                        "tid": tid,
+                        "q_path": tile_path(directory, tid),
+                        "q_dtype": q.dtype,
+                        "q_shape": q.shape,
+                        "q_bytes": write_tile_q(directory, tid, q),
                     },
                     protocol=4,
                 )
@@ -161,7 +232,8 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
     """``build_pair_sketch`` over the raw row blocks of
     ``blocks.pack_blocks_from_matrix``, collected once to the driver and
     stacked back into the matrix. The blocks' n_bw gives bw, since the
-    packer checked that bw divides the series length."""
+    packer checked that bw divides the series length. No handle owns
+    this sketch, so its tile files stay until the session's JVM exits."""
     pdf = blocks_df.toPandas().sort_values("block_id")
     X = np.concatenate([pickle.loads(p) for p in pdf["payload"]])
     bw = X.shape[1] // int(pdf["n_bw"].iloc[0])
@@ -169,8 +241,32 @@ def build_pair_block_sketch(blocks_df: DataFrame) -> DataFrame:
 
 
 def load_pair_payload(payload: bytes) -> dict:
-    """Deserialize a sketch tile payload."""
-    return pickle.loads(payload)
+    """The tile a payload names: its per-series arrays, and q mapped
+    read-only from the tile's file.
+
+    The file must match the manifest in size, dtype and shape; a missing
+    or disagreeing file raises a ``ValueError`` that names the tile id
+    and the path, so a damaged sketch never yields edges. q is a plain
+    read-only ndarray over the mapping: a kernel that writes into it
+    raises.
+    """
+    tile = pickle.loads(payload)
+    tid, path = tile.pop("tid"), tile.pop("q_path")
+    dtype, shape, size = tile.pop("q_dtype"), tile.pop("q_shape"), tile.pop("q_bytes")
+    try:
+        found = os.path.getsize(path)
+        q = np.load(path, mmap_mode="r") if found == size else None
+    except (OSError, ValueError, EOFError) as e:
+        raise ValueError(f"sketch tile {tid}: cannot map q from {path}: {e}") from None
+    if q is None or q.dtype != dtype or q.shape != shape:
+        held = f"{found} bytes" if q is None else f"{q.dtype} {q.shape}"
+        raise ValueError(
+            f"sketch tile {tid}: q file {path} holds {held}, but the manifest "
+            f"says {dtype} {shape} in {size} bytes"
+        )
+    # a base-class view: the kernels' arithmetic skips np.memmap's hooks
+    tile["q"] = np.asarray(q)
+    return tile
 
 
 def pair_tile_arrays(tile: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from repro.core import dangoron, horizontal
 from repro.core.jumping import FrontierStats, frontier_query, sweep
 from repro.harness import build_sketch
 from repro.sketch import kernels
+from repro.sketch.pair_sketch import load_pair_payload
 from repro.synth_data import uscrn_like
 from repro.tsio.validation import SlidingSpec
 
@@ -185,3 +186,28 @@ class TestBandedSketch:
         snap = stats.snapshot()
         for f in FrontierStats.__dataclass_fields__:
             assert snap[f] == getattr(ref.stats, f), f
+
+    def test_file_backed_tiles_equal_in_memory_tiles(self, spark, banded):
+        # each tile as the runner loads it (q mapped read-only from its
+        # file) and as plain in-memory arrays, the form the streaming
+        # store's tiles take: every kernel gives the same bits on both
+        pivot_corr = horizontal.pivot_matrix(banded.df, SPEC, 0)
+        kernels_ = {
+            "tsubasa": lambda tile: sweep(tile, SPEC),
+            "exact-ci": lambda tile: frontier_query(tile, SPEC, "exact-ci"),
+            "worst-case": lambda tile: frontier_query(tile, SPEC, "worst-case"),
+            "horizontal": lambda tile: sweep(tile, SPEC, pivot_corr=pivot_corr),
+        }
+        payloads = [r.payload for r in banded.df.orderBy("tid").select("payload").collect()]
+        assert len(payloads) > 1
+        for payload in payloads:
+            mapped = load_pair_payload(payload)
+            assert not mapped["q"].flags.writeable
+            in_memory = {k: np.array(v) for k, v in mapped.items()}
+            assert in_memory["q"].flags.writeable
+            for engine, kernel in kernels_.items():
+                a, b = kernel(mapped), kernel(in_memory)
+                for col in ("i", "j", "w", "corr"):
+                    x, y = getattr(a, col), getattr(b, col)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (engine, col)
+                assert a.stats == b.stats, engine

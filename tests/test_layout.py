@@ -16,6 +16,10 @@ No grouped stage (``groupBy``, ``applyInPandas``) shuffles the rows on
 the way to the sketch: the sketch build takes the matrix on the driver
 and ships it in the task closure, and long-form input is read into a
 matrix there by ``tsio.matrix.from_long_pdf``.
+
+Tile files have one owner: only ``sketch/pair_sketch.py`` writes a
+tile's q (``np.save(``) and maps it (``mmap_mode``), so the atomic
+write and the manifest check stay in one place.
 """
 import ast
 from pathlib import Path
@@ -73,3 +77,13 @@ def test_one_long_form_reader(attr, allowed):
     holes, duplicates, negative ids or t and non-finite values are
     checked in one place; a second scatter or duplicate check fails here."""
     assert owners(attr) == allowed
+
+
+@pytest.mark.parametrize("text", ["np.save(", "mmap_mode"])
+def test_tile_files_have_one_owner(text):
+    found = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if text in path.read_text()
+    ]
+    assert found == ["sketch/pair_sketch.py"]

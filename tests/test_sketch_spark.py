@@ -2,14 +2,18 @@
 
 Long-form input reaches the sketch as a matrix read by
 ``tsio.matrix.from_long_pdf``; the tests here hold that path to the
-matrix path and to numpy."""
+matrix path and to numpy. Tiles are loaded while the handle that owns
+their files is alive; ``TestTileFiles`` pins the files' lifecycle."""
+import os
 import pickle
+import re
+from contextlib import contextmanager
 
 import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import dangoron
 from repro.harness import build_sketch
 from repro.sketch import kernels
 from repro.sketch.blocks import pack_blocks_from_matrix
@@ -40,19 +44,26 @@ def long_df(spark, X):
     return df
 
 
-def sketch_payloads(spark, X, block_size):
-    """The built sketch's (tid, bi, bj, payload) rows, in tile order."""
+@contextmanager
+def built_tiles(spark, X, block_size):
+    """The built sketch's (tid, bi, bj, tile) rows in tile order, loaded
+    and used while the handle that owns the tile files is alive."""
     h = build_sketch(spark, X, SPEC, block_size)
     try:
-        return h.df.toPandas().sort_values("tid").reset_index(drop=True)
+        pdf = h.df.toPandas().sort_values("tid")
+        yield [
+            (r.tid, r.bi, r.bj, load_pair_payload(r.payload))
+            for r in pdf.itertuples(index=False)
+        ]
     finally:
         h.unpersist()
 
 
+@contextmanager
 def long_tiles(spark, long_df, block_size):
     """The tiles of the sketch built from the long form read into a matrix."""
-    pdf = sketch_payloads(spark, from_long_pdf(long_df.toPandas()), block_size)
-    return [load_pair_payload(p) for p in pdf["payload"]]
+    with built_tiles(spark, from_long_pdf(long_df.toPandas()), block_size) as rows:
+        yield [t for *_, t in rows]
 
 
 class TestSeriesSketch:
@@ -61,18 +72,20 @@ class TestSeriesSketch:
     def test_matches_numpy(self, spark, long_df, X):
         means, stds = kernels.bw_means_stds(X, SPEC.bw)
         seen = set()
-        for t in long_tiles(spark, long_df, 3):
-            for side in ("i", "j"):
-                ids = t[f"ids_{side}"]
-                np.testing.assert_allclose(t[f"means_{side}"], means[ids], atol=1e-9)
-                np.testing.assert_allclose(t[f"stds_{side}"], stds[ids], atol=1e-9)
-                seen.update(ids.tolist())
+        with long_tiles(spark, long_df, 3) as tiles:
+            for t in tiles:
+                for side in ("i", "j"):
+                    ids = t[f"ids_{side}"]
+                    np.testing.assert_allclose(t[f"means_{side}"], means[ids], atol=1e-9)
+                    np.testing.assert_allclose(t[f"stds_{side}"], stds[ids], atol=1e-9)
+                    seen.update(ids.tolist())
         assert seen == set(range(N))
 
     def test_counts_full(self, spark, long_df):
-        for t in long_tiles(spark, long_df, 3):
-            assert t["means_i"].shape == (len(t["ids_i"]), L // SPEC.bw)
-            assert t["stds_j"].shape == (len(t["ids_j"]), L // SPEC.bw)
+        with long_tiles(spark, long_df, 3) as tiles:
+            for t in tiles:
+                assert t["means_i"].shape == (len(t["ids_i"]), L // SPEC.bw)
+                assert t["stds_j"].shape == (len(t["ids_j"]), L // SPEC.bw)
 
 
 class TestBadInputRejected:
@@ -112,14 +125,19 @@ class TestBadInputRejected:
 
 class TestBlockPacking:
     def test_matrix_and_long_paths_agree(self, spark, long_df, X):
-        # the long rows read into a matrix give the matrix path's tile
-        # payloads byte for byte
+        # the long rows read into a matrix give the matrix path's tiles:
+        # every loaded array equal in dtype, shape and bytes
         Xl = from_long_pdf(long_df.toPandas())
         for block_size in BLOCK_SIZES:
-            a = sketch_payloads(spark, X, block_size)
-            b = sketch_payloads(spark, Xl, block_size)
-            pd.testing.assert_frame_equal(a, b)
-            assert len(a) > 0
+            with built_tiles(spark, X, block_size) as a, built_tiles(spark, Xl, block_size) as b:
+                assert len(a) == len(b) > 0
+                for (*key_a, ta), (*key_b, tb) in zip(a, b):
+                    assert key_a == key_b
+                    assert list(ta) == list(tb)
+                    for k in ta:
+                        assert ta[k].dtype == tb[k].dtype, k
+                        assert ta[k].shape == tb[k].shape, k
+                        assert ta[k].tobytes() == tb[k].tobytes(), k
 
     def test_bundle_contents(self, spark, X):
         # the traced setup's blocks are X's raw rows, block_size at a time
@@ -253,10 +271,80 @@ class TestPairSketchRows:
         qfull = kernels.pair_bw_cov(xc, xc)
         pairs = 0
         Xl = from_long_pdf(long_df.toPandas())
-        for _, row in sketch_payloads(spark, Xl, 3).iterrows():
-            t = load_pair_payload(row["payload"])
-            ii = t["ids_i"][:, None]
-            jj = t["ids_j"][None, :]
-            np.testing.assert_allclose(t["q"], qfull[ii, jj, :], atol=1e-10)
-            pairs += len(pair_tile_arrays(t)[0])
+        with built_tiles(spark, Xl, 3) as rows:
+            for *_, t in rows:
+                ii = t["ids_i"][:, None]
+                jj = t["ids_j"][None, :]
+                np.testing.assert_allclose(t["q"], qfull[ii, jj, :], atol=1e-10)
+                pairs += len(pair_tile_arrays(t)[0])
         assert pairs == N * (N - 1) // 2
+
+
+def sketch_dirs(spark) -> list[str]:
+    """The pair-sketch directories in the session's temporary directory."""
+    return sorted(
+        d for d in os.listdir(spark.sparkContext._temp_dir) if d.startswith("pair-sketch-")
+    )
+
+
+class TestTileFiles:
+    """Each tile's q lives in a file of the sketch's directory: the handle
+    owns it, and a missing or damaged file fails loudly."""
+
+    def test_unpersist_leaves_no_file(self, spark, X):
+        before = sketch_dirs(spark)
+        h = build_sketch(spark, X, SPEC, block_size=3)
+        files = sorted(os.listdir(h.directory))
+        assert files == sorted(f"tile-{t}.npy" for t in h.tile_bytes["tid"])
+        sizes = [os.path.getsize(os.path.join(h.directory, f"tile-{t}.npy"))
+                 for t in h.tile_bytes["tid"]]
+        assert h.tile_bytes["file_bytes"].tolist() == sizes
+        assert (h.tile_bytes["manifest_bytes"] > 0).all()
+        assert sketch_dirs(spark) == sorted([*before, os.path.basename(h.directory)])
+        h.unpersist()
+        assert not os.path.exists(h.directory)
+        assert sketch_dirs(spark) == before
+
+    def test_stale_query_raises(self, spark, X):
+        h = build_sketch(spark, X, SPEC, block_size=3)
+        h.unpersist()
+        before = sketch_dirs(spark)
+        with pytest.raises(Exception, match="sketch directory .* is gone"):
+            dangoron.query(h.df, SPEC).toPandas()
+        assert not os.path.exists(h.directory)
+        assert sketch_dirs(spark) == before
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "reshaped", "retyped"])
+    def test_bad_file_raises(self, spark, X, damage):
+        h = build_sketch(spark, X, SPEC, block_size=3)
+        try:
+            row = h.df.where("tid = 1").first()
+            path = os.path.join(h.directory, "tile-1.npy")
+            q = np.load(path)
+            if damage == "deleted":
+                os.remove(path)
+            elif damage == "truncated":
+                os.truncate(path, os.path.getsize(path) - 8)
+            elif damage == "reshaped":
+                np.save(path, q.reshape(-1, q.shape[-1]))
+            else:
+                np.save(path, q.view(np.int64))
+            pattern = rf"sketch tile 1: .*{re.escape(path)}"
+            with pytest.raises(ValueError, match=pattern):
+                load_pair_payload(row.payload)
+            # a query fails rather than yield the other tiles' edges
+            with pytest.raises(Exception, match=pattern):
+                dangoron.query(h.df, SPEC).toPandas()
+        finally:
+            h.unpersist()
+
+    def test_loaded_q_is_read_only(self, spark, X):
+        h = build_sketch(spark, X, SPEC, block_size=3)
+        try:
+            tile = load_pair_payload(h.df.first().payload)
+            with pytest.raises(ValueError, match="read-only"):
+                tile["q"][0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(tile["q"], 1.0, out=tile["q"])
+        finally:
+            h.unpersist()
