@@ -9,7 +9,7 @@ import pytest
 from repro import experiments
 from repro.baselines import tsubasa
 from repro.core import dangoron
-from repro.harness import build_sketch, save_table, timed_count
+from repro.harness import build_sketch, timed_count
 from repro.synth_data import uscrn_like
 
 BETA = 0.7
@@ -51,13 +51,9 @@ def test_dangoron_worst_case_query(benchmark, sketch):
 
 
 def test_full_table1(benchmark, spark):
-    def run():
-        rows, meta = experiments.run_table1(spark)
-        text = experiments.table_text(1, rows, meta)
-        save_table(text, "results/table1.txt")
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, _, _ = benchmark.pedantic(
+        experiments.write_table, (spark, 1), rounds=1, iterations=1
+    )
     by = {(r["beta"], r["engine"]): r for r in rows}
     for beta in experiments.T1_BETAS:
         # the paper's headline: Dangoron beats TSUBASA on pure query

@@ -7,7 +7,7 @@ import pytest
 
 from repro import experiments
 from repro.baselines import parcorr, statstream
-from repro.harness import save_table, timed_count
+from repro.harness import timed_count
 from repro.synth_data import uscrn_like
 
 
@@ -37,13 +37,9 @@ def test_statstream_query(benchmark, spark, X):
 
 
 def test_full_table2(benchmark, spark):
-    def run():
-        rows, meta = experiments.run_table2(spark)
-        text = experiments.table_text(2, rows, meta)
-        save_table(text, "results/table2.txt")
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, _, _ = benchmark.pedantic(
+        experiments.write_table, (spark, 2), rounds=1, iterations=1
+    )
     by = {r["method"]: r for r in rows}
     # the paper's accuracy band: Dangoron above 90%, comparable to ParCorr
     assert by["dangoron"]["f1"] >= 0.9

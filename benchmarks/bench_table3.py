@@ -8,7 +8,7 @@ import pytest
 from repro import experiments
 from repro.baselines import naive, tsubasa
 from repro.core import dangoron
-from repro.harness import build_sketch, save_table, timed_count
+from repro.harness import build_sketch, timed_count
 from repro.tomborg.generator import generate_named
 
 
@@ -56,13 +56,9 @@ def test_dangoron_query(benchmark, sketch):
 
 
 def test_full_table3(benchmark, spark):
-    def run():
-        rows, meta = experiments.run_table3(spark, reps=1)
-        text = experiments.table_text(3, rows, meta)
-        save_table(text, "results/table3.txt")
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, _, _ = benchmark.pedantic(
+        experiments.write_table, (spark, 3), kwargs={"reps": 1}, rounds=1, iterations=1
+    )
     by = {(r["dataset"], r["engine"]): r for r in rows}
     for dist, alpha in experiments.T3_GRID:
         ds = f"{dist}/α={alpha:g}"

@@ -1,16 +1,11 @@
 """T4 benchmarks — pruning mechanics sweep, writes results/table4.txt."""
 from repro import experiments
-from repro.harness import save_table
 
 
 def test_full_table4(benchmark, spark):
-    def run():
-        rows, meta = experiments.run_table4(spark)
-        text = experiments.table_text(4, rows, meta)
-        save_table(text, "results/table4.txt")
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, _, _ = benchmark.pedantic(
+        experiments.write_table, (spark, 4), rounds=1, iterations=1
+    )
     jump = {
         (r["beta"], r["mechanism"]): r
         for r in rows

@@ -12,9 +12,10 @@ engines isolates the pruning contribution.
 from __future__ import annotations
 
 import pandas as pd
+from pyspark.accumulators import Accumulator
 from pyspark.sql import DataFrame
 
-from repro.core.dangoron import StatsAccumulators, run_tiles
+from repro.core.dangoron import run_tiles
 from repro.core.jumping import sweep
 from repro.tsio.validation import SlidingSpec
 
@@ -34,7 +35,7 @@ def eval_tile_full(tile: dict, spec: SlidingSpec) -> pd.DataFrame:
 def query(
     pair_sketch_df: DataFrame,
     spec: SlidingSpec,
-    stats: StatsAccumulators | None = None,
+    stats: Accumulator | None = None,
 ) -> DataFrame:
     """Thresholded correlation-matrix sequence, TSUBASA-style (no pruning)."""
     return run_tiles(pair_sketch_df, lambda tile: sweep(tile, spec), stats)

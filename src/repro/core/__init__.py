@@ -9,8 +9,8 @@
                    monotone bound, or its worst-case closed form) → land
                    → re-evaluate, with Fig. 2's landings;
 - ``dangoron``   — the Spark engine: ``run_tiles``, the one tile runner
-                   (mapInPandas over the cached pair sketch, Spark
-                   accumulators for pruning statistics), shared with
+                   (mapInPandas over the cached pair sketch, one Spark
+                   accumulator of ``FrontierStats``), shared with
                    TSUBASA and horizontal pruning;
 - ``horizontal`` — pivot-based horizontal pruning: the pivot stage, then
                    the window sweep masked by the triangle bound.

@@ -24,10 +24,11 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
+from pyspark.accumulators import Accumulator
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.dangoron import StatsAccumulators, run_tiles
+from repro.core.dangoron import run_tiles
 from repro.core.jumping import TileResult, sweep
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import pair_tile_arrays
@@ -115,7 +116,7 @@ def query(
     spec: SlidingSpec,
     pivot: int,
     block_size: int,
-    stats: StatsAccumulators | None = None,
+    stats: Accumulator | None = None,
 ) -> DataFrame:
     """Full horizontally-pruned query: pivot stage, then the masked sweep.
 

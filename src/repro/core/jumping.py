@@ -48,10 +48,25 @@ class FrontierStats:
     jumps: int = 0          # number of jump decisions taken
     jump_lengths: int = 0   # total windows certified-skipped by jumps
     emitted: int = 0        # cells ≥ β emitted
+    # in-kernel seconds; only ``dangoron.run_tiles`` sets it, so a
+    # sweep's own counters stay deterministic
+    work_s: float = 0.0
 
     def merge(self, other: "FrontierStats") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    @property
+    def skipped(self) -> int:
+        return self.cells - self.evals
+
+    @property
+    def eval_fraction(self) -> float:
+        return self.evals / self.cells if self.cells else 0.0
+
+    @property
+    def mean_jump(self) -> float:
+        return self.jump_lengths / self.jumps if self.jumps else 0.0
 
 
 def _no_cells(dtype) -> Callable[[], np.ndarray]:

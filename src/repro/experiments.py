@@ -1,7 +1,9 @@
 """Experiment definitions and runners for the reproduced tables T1–T5.
 
-One place defines every workload/parameter set; ``jobs/table*.py`` and
-``benchmarks/bench_table*.py`` both call these runners so the printed
+One place defines every workload/parameter set. ``TABLES`` registers
+each table's runner, title and results file, and ``write_table`` runs,
+formats and saves a table through it: ``jobs/run_table.py`` and the
+full-table benchmarks of ``benchmarks/`` both call it, so the printed
 tables and the pytest-benchmark timings come from identical code paths.
 EXPERIMENTS.md records each table's paper claim next to the numbers
 these runners produce.
@@ -16,8 +18,10 @@ to the engine.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -26,7 +30,7 @@ from pyspark.sql import SparkSession
 from repro import synth_data
 from repro.baselines import naive, parcorr, statstream, tsubasa
 from repro.core import dangoron, horizontal
-from repro.harness import build_sketch, format_table, timed_count
+from repro.harness import build_sketch, format_table, save_table, timed_count
 from repro.metrics import edge_metrics
 from repro.streaming.sketch_stream import SketchStore, run_stream
 from repro.tomborg.generator import generate_named
@@ -85,36 +89,6 @@ T5_REPS = 5  # the apply and the rebuild take milliseconds: min of several
 T5_SPEC = SlidingSpec(start=0, end=8640, window=720, step=24, beta=0.7, bw=24)
 
 
-# Each table's title, filled from its runner's meta.
-_TITLES = {
-    1: (
-        "T1 — pure query time | series={n_series} pairs={n_pairs} windows={n_windows} "
-        "sketch_build={sketch_build_s:.2f}s tiles={tiles} partitions={partitions}"
-    ),
-    2: "T2 — accuracy vs exact | beta={beta} exact_edges={exact_edges}",
-    3: "T3 — Tomborg robustness | N={n} L={len} beta={beta}",
-    4: "T4 — pruning mechanics | series={n_series} windows={n_windows}",
-    5: (
-        "T5 — sketch maintenance | "
-        "update_speedup_vs_rebuild={update_speedup_vs_rebuild:.1f}x "
-        "micro_batches={batches} store_matches={store_matches}"
-    ),
-}
-
-
-def table_text(table: int, rows: list[dict], meta: dict) -> str:
-    """Table ``table`` (1–5) formatted under its title, as jobs and benchmarks print it."""
-    return format_table(rows, title=_TITLES[table].format(**meta))
-
-
-@dataclass
-class EngineRun:
-    name: str
-    query_s: float
-    rows: int
-    stats: dict = field(default_factory=dict)
-
-
 def _min_run(run_once, reps: int) -> tuple[pd.DataFrame, float]:
     """Repeat a timed run and report the MINIMUM (timeit-style).
 
@@ -135,7 +109,7 @@ def _min_run(run_once, reps: int) -> tuple[pd.DataFrame, float]:
 # T1 — pure query time
 # ---------------------------------------------------------------------------
 
-def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIONS):
+def run_table1(spark: SparkSession, reps: int = 3, n_stations: int = T1_N_STATIONS):
     """Dangoron vs TSUBASA pure query time per β. Returns (rows, meta)."""
     X = synth_data.uscrn_like(n_stations=n_stations, n_hours=T1_HOURS, seed=7)
     handle = build_sketch(spark, X, T1_SPEC(T1_BETAS[0]), block_size=T1_BLOCK)
@@ -153,26 +127,25 @@ def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIO
             snaps = []
 
             def run_once():
-                stats = dangoron.StatsAccumulators(spark)
+                stats = dangoron.stats_accumulator(spark)
                 out = timed_count(make_df(stats))
-                snaps.append(stats.snapshot())
+                snaps.append(stats.value)
                 return out
 
             n, secs = _min_run(run_once, reps)
-            snap = min(snaps, key=lambda s: s["work_s"])
-            runs[name] = EngineRun(name, secs, n, stats=snap)
-        base = runs["tsubasa"]
-        for name, r in runs.items():
+            runs[name] = (secs, n, min(snaps, key=lambda s: s.work_s))
+        base_s, _, base = runs["tsubasa"]
+        for name, (secs, n, stats) in runs.items():
             rows.append(
                 {
                     "beta": beta,
                     "engine": name,
-                    "query_s": r.query_s,
-                    "work_s": r.stats["work_s"],
-                    "speedup_wall": base.query_s / r.query_s,
-                    "speedup_work": base.stats["work_s"] / r.stats["work_s"],
-                    "eval_frac": r.stats["eval_fraction"],
-                    "edges": r.rows,
+                    "query_s": secs,
+                    "work_s": stats.work_s,
+                    "speedup_wall": base_s / secs,
+                    "speedup_work": base.work_s / stats.work_s,
+                    "eval_frac": stats.eval_fraction,
+                    "edges": n,
                 }
             )
     meta = {
@@ -181,7 +154,7 @@ def run_table1(spark: SparkSession, reps: int = 5, n_stations: int = T1_N_STATIO
         "n_windows": T1_SPEC(0.7).n_windows,
         "sketch_build_s": handle.build_seconds,
         # every query runs one task per partition, one tile each
-        "tiles": handle.df.count(),
+        "tiles": len(handle.tile_bytes),
         "partitions": handle.df.rdd.getNumPartitions(),
     }
     handle.unpersist()
@@ -287,24 +260,24 @@ def run_table4(spark: SparkSession, n_stations: int = T4_N_STATIONS):
     for beta in T4_BETAS:
         spec = T4_SPEC(beta)
         for mode in ("exact-ci", "worst-case"):
-            stats = dangoron.StatsAccumulators(spark)
+            stats = dangoron.stats_accumulator(spark)
             dangoron.query(handle.df, spec, mode, stats).toPandas()
-            s = stats.snapshot()
+            s = stats.value
             rows.append(
                 {
                     "beta": beta,
                     "mechanism": f"jump/{mode}",
-                    "eval_fraction": s["eval_fraction"],
-                    "skip_fraction": 1.0 - s["eval_fraction"],
-                    "mean_jump": s["mean_jump"],
-                    "probes_per_cell": s["probes"] / s["cells"],
+                    "eval_fraction": s.eval_fraction,
+                    "skip_fraction": 1.0 - s.eval_fraction,
+                    "mean_jump": s.mean_jump,
+                    "probes_per_cell": s.probes / s.cells,
                 }
             )
         # the masked sweep evaluates the pivot's (N−1)·W cells and every
         # non-pivot cell that survives the triangle bound
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         horizontal.query(spark, handle.df, spec, 0, T4_BLOCK, stats).count()
-        survivors = stats.snapshot()["evals"] - (n - 1) * spec.n_windows
+        survivors = stats.value.evals - (n - 1) * spec.n_windows
         survive = survivors / ((n - 1) * (n - 2) // 2 * spec.n_windows)
         rows.append(
             {
@@ -324,56 +297,62 @@ def run_table4(spark: SparkSession, n_stations: int = T4_N_STATIONS):
 # T5 — streaming maintenance
 # ---------------------------------------------------------------------------
 
-def run_table5(spark: SparkSession, workdir: str):
-    """Incremental streaming update vs full sketch rebuild."""
+def run_table5(spark: SparkSession):
+    """Incremental streaming update vs full sketch rebuild.
+
+    The stores and the staged stream live in a temporary directory that
+    is removed on return. Raises unless the streamed store equals the
+    rebuilt one.
+    """
     rng_hours = (T5_INIT_DAYS + T5_APPEND_DAYS) * 24
     X = synth_data.uscrn_like(n_stations=T5_N // 4, n_hours=rng_hours, seed=10)
     init_h = T5_INIT_DAYS * 24
     pdf = to_long_pdf(X)
 
-    # initial load
-    store = SketchStore(os.path.join(workdir, "store"), bw=T5_SPEC.bw)
-    t0 = time.perf_counter()
-    store.apply_batch(pdf[pdf["t"] < init_h])
-    t_init = time.perf_counter() - t0
-
-    # direct incremental apply (algorithmic update cost, no streaming
-    # engine overhead), each time on a fresh copy of the initial store
-    def direct_apply():
-        direct = SketchStore(os.path.join(workdir, "direct"), bw=T5_SPEC.bw)
-        direct.apply_batch(pdf[pdf["t"] < init_h])
+    with tempfile.TemporaryDirectory() as workdir:
+        # initial load
+        store = SketchStore(os.path.join(workdir, "store"), bw=T5_SPEC.bw)
         t0 = time.perf_counter()
-        direct.apply_batch(pdf[pdf["t"] >= init_h])
-        return direct, time.perf_counter() - t0
+        store.apply_batch(pdf[pdf["t"] < init_h])
+        t_init = time.perf_counter() - t0
 
-    _, t_direct = _min_run(direct_apply, T5_REPS)
+        # direct incremental apply (algorithmic update cost, no streaming
+        # engine overhead), each time on a fresh copy of the initial store
+        def direct_apply():
+            direct = SketchStore(os.path.join(workdir, "direct"), bw=T5_SPEC.bw)
+            direct.apply_batch(pdf[pdf["t"] < init_h])
+            t0 = time.perf_counter()
+            direct.apply_batch(pdf[pdf["t"] >= init_h])
+            return direct, time.perf_counter() - t0
 
-    # stage the 30-day append as streaming files
-    in_dir = os.path.join(workdir, "incoming")
-    os.makedirs(in_dir, exist_ok=True)
-    edges = np.linspace(init_h, rng_hours, T5_BATCHES + 1, dtype=int)
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        part = pdf[(pdf["t"] >= lo) & (pdf["t"] < hi)]
-        part.to_parquet(os.path.join(in_dir, f"part-{k:03d}.parquet"))
+        _, t_direct = _min_run(direct_apply, T5_REPS)
 
-    t0 = time.perf_counter()
-    run_stream(spark, in_dir, store)
-    t_inc = time.perf_counter() - t0
+        # stage the 30-day append as streaming files
+        in_dir = os.path.join(workdir, "incoming")
+        os.makedirs(in_dir, exist_ok=True)
+        edges = np.linspace(init_h, rng_hours, T5_BATCHES + 1, dtype=int)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            part = pdf[(pdf["t"] >= lo) & (pdf["t"] < hi)]
+            part.to_parquet(os.path.join(in_dir, f"part-{k:03d}.parquet"))
 
-    # full rebuild for comparison
-    def full_rebuild():
         t0 = time.perf_counter()
-        rebuild = SketchStore(os.path.join(workdir, "rebuild"), bw=T5_SPEC.bw)
-        rebuild.apply_batch(pdf)
-        return rebuild, time.perf_counter() - t0
+        run_stream(spark, in_dir, store)
+        t_inc = time.perf_counter() - t0
 
-    rebuild, t_full = _min_run(full_rebuild, T5_REPS)
+        # full rebuild for comparison
+        def full_rebuild():
+            t0 = time.perf_counter()
+            rebuild = SketchStore(os.path.join(workdir, "rebuild"), bw=T5_SPEC.bw)
+            rebuild.apply_batch(pdf)
+            return rebuild, time.perf_counter() - t0
 
-    # the streamed store must equal the rebuilt one, series and pair sums
-    for view in ("series_sketch", "pair_sketch"):
-        pd.testing.assert_frame_equal(
-            getattr(store, view)().round(9), getattr(rebuild, view)().round(9)
-        )
+        rebuild, t_full = _min_run(full_rebuild, T5_REPS)
+
+        # the streamed store must equal the rebuilt one, series and pair sums
+        for view in ("series_sketch", "pair_sketch"):
+            pd.testing.assert_frame_equal(
+                getattr(store, view)().round(9), getattr(rebuild, view)().round(9)
+            )
 
     appended_rows = int((pdf["t"] >= init_h).sum())
     rows = [
@@ -408,3 +387,62 @@ def run_table5(spark: SparkSession, workdir: str):
         "store_matches": True,  # checked above
     }
     return rows, meta
+
+
+# ---------------------------------------------------------------------------
+# The table registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Table:
+    """How a table is run, titled and written.
+
+    ``title`` is filled from the runner's meta; ``path`` is where
+    ``write_table`` saves the table unless told otherwise.
+    """
+
+    runner: Callable[..., tuple[list[dict], dict]]
+    title: str
+    path: str
+
+
+TABLES = {
+    1: Table(
+        run_table1,
+        "T1 — pure query time | series={n_series} pairs={n_pairs} windows={n_windows} "
+        "sketch_build={sketch_build_s:.2f}s tiles={tiles} partitions={partitions}",
+        "results/table1.txt",
+    ),
+    2: Table(
+        run_table2, "T2 — accuracy vs exact | beta={beta} exact_edges={exact_edges}",
+        "results/table2.txt",
+    ),
+    3: Table(run_table3, "T3 — Tomborg robustness | N={n} L={len} beta={beta}", "results/table3.txt"),
+    4: Table(
+        run_table4, "T4 — pruning mechanics | series={n_series} windows={n_windows}",
+        "results/table4.txt",
+    ),
+    5: Table(
+        run_table5,
+        "T5 — sketch maintenance | update_speedup_vs_rebuild={update_speedup_vs_rebuild:.1f}x "
+        "micro_batches={batches} store_matches={store_matches}",
+        "results/table5.txt",
+    ),
+}
+
+
+def table_text(table: int, rows: list[dict], meta: dict) -> str:
+    """Table ``table`` (1–5) formatted under its title."""
+    return format_table(rows, title=TABLES[table].title.format(**meta))
+
+
+def write_table(spark: SparkSession, table: int, out: str | None = None, **overrides):
+    """Run table ``table`` with the runner's keyword ``overrides``, format
+    it and save it to ``out`` (default: the table's results path).
+
+    Returns (rows, meta, text).
+    """
+    rows, meta = TABLES[table].runner(spark, **overrides)
+    text = table_text(table, rows, meta)
+    save_table(text, out or TABLES[table].path)
+    return rows, meta, text

@@ -1,7 +1,7 @@
 """Experiment harness: sketch building, timed runs, table formatting.
 
-Jobs (``jobs/table*.py``) and benchmarks compose these helpers; the
-formatted tables they print are what EXPERIMENTS.md records next to the
+``experiments`` composes these helpers into the tables T1–T5; the
+formatted tables it writes are what EXPERIMENTS.md records next to the
 paper's claims.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ DRIVER_MEMORY = "4g"
 
 
 def spark_session(app_name: str) -> SparkSession:
-    """The jobs' SparkSession: Arrow on, a ``DRIVER_MEMORY`` heap, and
+    """The job's SparkSession: Arrow on, a ``DRIVER_MEMORY`` heap, and
     ``repro``'s malloc thresholds handed to the Python workers.
 
     The heap applies only when this call starts the JVM; under
@@ -59,8 +59,6 @@ class SketchHandle:
 
     df: DataFrame
     build_seconds: float
-    n_series: int
-    block_size: int
     directory: str
     tile_bytes: pd.DataFrame
 
@@ -104,7 +102,7 @@ def build_sketch(
     tiles = pd.DataFrame(rows, columns=["tid", "bi", "bj", "manifest_bytes"])
     tiles["file_bytes"] = [os.path.getsize(tile_path(directory, t)) for t in tiles["tid"]]
     return SketchHandle(
-        sketch, time.perf_counter() - t0, X.shape[0], block_size, directory,
+        sketch, time.perf_counter() - t0, directory,
         tiles.sort_values("tid", ignore_index=True),
     )
 

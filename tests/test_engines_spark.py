@@ -3,9 +3,12 @@
 One shared module-scope dataset/sketch; every engine's output is checked
 against the raw-data numpy reference (and engines against each other).
 """
+from dataclasses import fields
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.accumulators import _accumulatorRegistry
 
 from repro.baselines import naive, tsubasa
 from repro.core import dangoron, horizontal
@@ -28,14 +31,19 @@ def X():
 
 
 @pytest.fixture(scope="module")
-def ref_edges(X):
-    ref = kernels.exact_window_corr(X, SPEC)
+def ref_corr(X):
+    """X's raw-data correlation of every (i, j, w) cell, (N, N, W)."""
+    return kernels.exact_window_corr(X, SPEC)
+
+
+@pytest.fixture(scope="module")
+def ref_edges(ref_corr):
     return {
-        (i, j, w): ref[i, j, w]
+        (i, j, w): ref_corr[i, j, w]
         for i in range(N)
         for j in range(i + 1, N)
         for w in range(SPEC.n_windows)
-        if ref[i, j, w] >= SPEC.beta
+        if ref_corr[i, j, w] >= SPEC.beta
     }
 
 
@@ -64,6 +72,11 @@ def as_edge_dict(pdf: pd.DataFrame) -> dict:
     return {(r.i, r.j, r.w): r.corr for r in pdf.itertuples()}
 
 
+def counters(stats: FrontierStats) -> dict:
+    """Every deterministic field of ``stats``: all but the seconds ``work_s``."""
+    return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "work_s"}
+
+
 class TestTsubasa:
     def test_exactly_matches_reference(self, sketch, ref_edges):
         got = as_edge_dict(tsubasa.query(sketch.df, SPEC).toPandas())
@@ -72,11 +85,11 @@ class TestTsubasa:
             assert v == pytest.approx(ref_edges[k], abs=1e-9)
 
     def test_stats_count_all_cells(self, spark, sketch):
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         tsubasa.query(sketch.df, SPEC, stats).toPandas()
-        s = stats.snapshot()
-        assert s["cells"] == s["evals"] == (N * (N - 1) // 2) * SPEC.n_windows
-        assert s["eval_fraction"] == 1.0
+        s = stats.value
+        assert s.cells == s.evals == (N * (N - 1) // 2) * SPEC.n_windows
+        assert s.eval_fraction == 1.0
 
 
 class TestDangoron:
@@ -93,12 +106,12 @@ class TestDangoron:
         assert recall >= 0.85
 
     def test_accumulators_account_for_all_cells(self, spark, sketch):
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         dangoron.query(sketch.df, SPEC, "exact-ci", stats).toPandas()
-        s = stats.snapshot()
-        assert s["cells"] == (N * (N - 1) // 2) * SPEC.n_windows
-        assert s["evals"] + s["skipped"] == s["cells"]
-        assert 0 < s["evals"] < s["cells"]  # it pruned something on this data
+        s = stats.value
+        assert s.cells == (N * (N - 1) // 2) * SPEC.n_windows
+        assert s.evals + s.skipped == s.cells
+        assert 0 < s.evals < s.cells  # it pruned something on this data
 
     def test_unknown_mode_raises_before_spark_runs(self, sketch):
         with pytest.raises(ValueError, match="bound mode"):
@@ -140,9 +153,9 @@ class TestHorizontal:
     def test_survival_fraction_on_structured_data(self, spark, sketch):
         # Table 4's reading: the masked sweep's evaluations less the
         # pivot's (N−1)·W cells are the survivors
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         horizontal.query(spark, sketch.df, SPEC, 0, BLOCK, stats).count()
-        survivors = stats.snapshot()["evals"] - (N - 1) * SPEC.n_windows
+        survivors = stats.value.evals - (N - 1) * SPEC.n_windows
         total = (N - 1) * (N - 2) // 2 * SPEC.n_windows
         assert 0 < survivors <= total
         # pivot 0 is a temperature series: strongly correlated with other
@@ -151,8 +164,10 @@ class TestHorizontal:
 
 
 def whole_tile(X) -> dict:
-    """The unbanded tile of one block of every series, built as the sketch builds it."""
+    """The unbanded tile of one block of every series, built as the sketch
+    builds it: its means centred on each series' first basic window."""
     means, stds = kernels.bw_means_stds(X, SPEC.bw)
+    means = means - means[:, :1]
     xc = kernels.bw_centered(X, SPEC.bw)
     ids = np.arange(N, dtype=np.int64)
     return {
@@ -174,7 +189,7 @@ class TestBandedSketch:
     )
     def test_edges_and_stats_equal_the_whole_tile(self, spark, banded, X, engine, kernel):
         ref = kernel(whole_tile(X))
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         if engine == "tsubasa":
             df = tsubasa.query(banded.df, SPEC, stats)
         else:
@@ -183,9 +198,7 @@ class TestBandedSketch:
         want = ref.frame().sort_values(["i", "j", "w"], ignore_index=True)
         assert len(want) > 0
         pd.testing.assert_frame_equal(got, want, check_exact=True)
-        snap = stats.snapshot()
-        for f in FrontierStats.__dataclass_fields__:
-            assert snap[f] == getattr(ref.stats, f), f
+        assert counters(stats.value) == counters(ref.stats)
 
     def test_file_backed_tiles_equal_in_memory_tiles(self, spark, banded):
         # each tile as the runner loads it (q mapped read-only from its
@@ -211,3 +224,81 @@ class TestBandedSketch:
                     x, y = getattr(a, col), getattr(b, col)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (engine, col)
                 assert a.stats == b.stats, engine
+
+
+class TestQueryCounters:
+    """The query's one accumulator sums the kernels' own counters."""
+
+    @pytest.mark.parametrize("engine", ["tsubasa", "exact-ci", "worst-case", "horizontal"])
+    def test_equals_the_summed_tile_stats(self, spark, both_layouts, engine):
+        for h, block in both_layouts:
+            if engine == "horizontal":
+                corr = horizontal.pivot_matrix(h.df, SPEC, 0)
+                kernel = lambda tile: sweep(tile, SPEC, pivot_corr=corr)  # noqa: E731
+                query = lambda s: horizontal.query(spark, h.df, SPEC, 0, block, s)  # noqa: E731
+            elif engine == "tsubasa":
+                kernel = lambda tile: sweep(tile, SPEC)  # noqa: E731
+                query = lambda s: tsubasa.query(h.df, SPEC, s)  # noqa: E731
+            else:
+                kernel = lambda tile: frontier_query(tile, SPEC, engine)  # noqa: E731
+                query = lambda s: dangoron.query(h.df, SPEC, engine, s)  # noqa: E731
+            want = FrontierStats()
+            for r in h.df.select("payload").collect():
+                want.merge(kernel(load_pair_payload(r.payload)).stats)
+            stats = dangoron.stats_accumulator(spark)
+            query(stats).count()
+            got = stats.value
+            assert counters(got) == counters(want), (engine, block)
+            assert want.work_s == 0.0 < got.work_s
+
+    def test_a_query_registers_one_accumulator(self, spark, sketch):
+        before = set(_accumulatorRegistry)
+        stats = dangoron.stats_accumulator(spark)
+        dangoron.query(sketch.df, SPEC, "exact-ci", stats).count()
+        assert set(_accumulatorRegistry) - before == {stats.aid}
+
+
+def rounding_tol(a: float, c: float) -> float:
+    """The correlation error that the rounding of a·X + c itself allows.
+
+    Each value of a·X + c is off by up to half an ulp of |c|, about
+    1.1e-16·|c|, which is 1.1e-16·|c|/a in X's units. X's least window
+    std is 3e-3 (a dry rain gauge), so a correlation can move by about
+    4e-14·|c|/a.
+    """
+    return 1e-9 + 1e-13 * abs(c) / a
+
+
+class TestAffineInvariance:
+    """Every engine on the sketch of a·X + c gives X's correlations.
+
+    The build centres each series' means on its first basic window, so an
+    offset of up to 1e7 costs no more than the rounding of a·X + c.
+    With raw means it moved correlations by up to 0.7 here.
+    """
+
+    @pytest.mark.parametrize(
+        "a, c", [(2.0, 0.0), (1.0, 1e7), (3.5, -1e7), (0.01, 1e5), (100.0, -1e7)]
+    )
+    def test_engines_match_the_reference_of_x(self, spark, X, sketch, ref_corr, a, c):
+        tol = rounding_tol(a, c)
+        engines = {
+            "tsubasa": lambda df: tsubasa.query(df, SPEC),
+            "exact-ci": lambda df: dangoron.query(df, SPEC, "exact-ci"),
+            "worst-case": lambda df: dangoron.query(df, SPEC, "worst-case"),
+            "horizontal": lambda df: horizontal.query(spark, df, SPEC, 0, BLOCK),
+        }
+        h = build_sketch(spark, a * X + c, SPEC, block_size=BLOCK)
+        try:
+            for engine, query in engines.items():
+                got = query(h.df).toPandas()
+                np.testing.assert_allclose(
+                    got["corr"], ref_corr[got["i"], got["j"], got["w"]],
+                    rtol=0, atol=tol, err_msg=engine,
+                )
+                # the same edges as on X, but for cells within tol of β
+                on_x = as_edge_dict(query(sketch.df).toPandas())
+                for i, j, w in set(as_edge_dict(got)) ^ set(on_x):
+                    assert abs(ref_corr[i, j, w] - SPEC.beta) <= tol, (engine, i, j, w)
+        finally:
+            h.unpersist()

@@ -40,12 +40,11 @@ class TestBuildSketch:
         h = build_sketch(spark, X, spec, block_size=4)
         try:
             assert h.build_seconds > 0
-            assert h.n_series == 6
             # blocks {0: 4 rows, 1: 2 rows}: block pairs (0,0),(0,1),(1,1),
             # cut into row bands when the host has more than three cores
             layout = tile_layout({0: 4, 1: 2}, spark.sparkContext.defaultParallelism)
             assert len(layout) >= 3
-            assert h.df.count() == len(layout)
+            assert h.df.count() == len(h.tile_bytes) == len(layout)
             assert h.df.rdd.getNumPartitions() == len(layout)
         finally:
             h.unpersist()

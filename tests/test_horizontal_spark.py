@@ -104,9 +104,9 @@ class TestTriangleMask:
         # every surviving non-pivot cell, plus the pivot's pairs at every window
         assert evals == survivors + (N - 1) * SPEC.n_windows
         # the query's own counters, which Table 4 reads, count the same cells
-        stats = dangoron.StatsAccumulators(spark)
+        stats = dangoron.stats_accumulator(spark)
         horizontal.query(spark, h.df, SPEC, pivot, 5, stats).count()
-        assert stats.snapshot()["evals"] == evals
+        assert stats.value.evals == evals
 
     def test_query_leaves_nothing_cached(self, spark, sketch):
         persistent = spark.sparkContext._jsc.getPersistentRDDs

@@ -1,11 +1,11 @@
-"""Smoke tests for the spark-submit job entrypoints (tiny workloads).
+"""Smoke tests for the spark-submit job entrypoint (tiny workloads).
 
-Each job's ``main`` runs end-to-end with a small --stations override,
-reusing the session fixture via ``getOrCreate``, and must leave a
-formatted table at the requested output path. The jobs' session helper
-is also run under a real ``spark-submit``, whose JVM starts before the
-driver imports ``repro``, and in a fresh interpreter, whose JVM it
-starts with its own driver heap.
+``jobs/run_table.py``'s ``main`` runs each table end-to-end with a small
+--stations override, reusing the session fixture via ``getOrCreate``,
+and must leave the formatted table at the requested output path. The
+job's session helper is also run under a real ``spark-submit``, whose
+JVM starts before the driver imports ``repro``, and in a fresh
+interpreter, whose JVM it starts with its own driver heap.
 """
 import importlib.util
 import os
@@ -43,7 +43,7 @@ spark.stop()
 """
 
 
-# what ``python jobs/table1_query_time.py`` does before its sketch build
+# what ``python jobs/run_table.py 1`` does before its sketch build
 HEAP_PROBE = """
 from repro.harness import spark_session
 
@@ -53,37 +53,50 @@ spark.stop()
 """
 
 
-def load_job(name):
+def load_job():
     spec = importlib.util.spec_from_file_location(
-        name, os.path.join(JOBS_DIR, f"{name}.py")
+        "run_table", os.path.join(JOBS_DIR, "run_table.py")
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+def run_job(tmp_path, capsys, table, *flags):
+    """``run_table.py TABLE *flags`` into a temporary file; returns its text,
+    which the job also printed."""
+    out = str(tmp_path / f"t{table}.txt")
+    load_job().main([str(table), *flags, "--out", out])
+    text = open(out).read()
+    assert capsys.readouterr().out == text
+    return text
+
+
 @pytest.mark.usefixtures("spark")
 class TestJobMains:
-    def test_table2_accuracy_job(self, tmp_path):
-        mod = load_job("table2_accuracy")
-        out = str(tmp_path / "t2.txt")
-        mod.main(["--stations", "2", "--out", out])
-        text = open(out).read()
-        assert "T2 — accuracy" in text and "dangoron" in text
+    def test_table1_query_time_job(self, tmp_path, capsys):
+        text = run_job(tmp_path, capsys, 1, "--stations", "2", "--reps", "1")
+        assert text.startswith("T1 — pure query time | series=8 ") and "dangoron-wc" in text
 
-    def test_table4_pruning_job(self, tmp_path):
-        mod = load_job("table4_pruning")
-        out = str(tmp_path / "t4.txt")
-        mod.main(["--stations", "2", "--out", out])
-        text = open(out).read()
-        assert "T4 — pruning" in text and "jump/exact-ci" in text
+    def test_table2_accuracy_job(self, tmp_path, capsys):
+        text = run_job(tmp_path, capsys, 2, "--stations", "2")
+        assert text.startswith("T2 — accuracy") and "dangoron" in text
 
-    def test_table5_streaming_job(self, tmp_path):
-        mod = load_job("table5_streaming")
-        out = str(tmp_path / "t5.txt")
-        mod.main(["--out", out])
-        text = open(out).read()
-        assert "store_matches=True" in text
+    def test_table4_pruning_job(self, tmp_path, capsys):
+        text = run_job(tmp_path, capsys, 4, "--stations", "2")
+        assert text.startswith("T4 — pruning mechanics | series=8 ") and "jump/exact-ci" in text
+
+    def test_table5_streaming_job(self, tmp_path, capsys):
+        text = run_job(tmp_path, capsys, 5)
+        assert text.startswith("T5 — sketch maintenance") and "store_matches=True" in text
+
+    def test_flag_the_table_does_not_take_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "t3.txt"
+        with pytest.raises(SystemExit) as exc:
+            load_job().main(["3", "--stations", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "table 3 takes no --stations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSparkSubmit:

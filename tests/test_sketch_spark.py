@@ -70,7 +70,9 @@ class TestSeriesSketch:
     """Per-series basic-window statistics in the tiles of the long-form path."""
 
     def test_matches_numpy(self, spark, long_df, X):
+        # the means are centred on each series' first basic-window mean
         means, stds = kernels.bw_means_stds(X, SPEC.bw)
+        means = means - means[:, :1]
         seen = set()
         with long_tiles(spark, long_df, 3) as tiles:
             for t in tiles:
