@@ -7,7 +7,9 @@ Applied to a sliding query it evaluates every (pair, window) cell at
 the inefficiency the Dangoron paper targets. It runs on the exact same
 cached block-pair sketch, tile runner, window sweep and evaluator as
 Dangoron, with no jump rule, so the timing ratio between the two
-engines isolates the pruning contribution.
+engines reflects the pruning contribution. Its every-pair windows sum
+a view of the fused terms, cheaper per cell than a pruned engine's
+gathered subset, so that ratio understates the pruning.
 """
 from __future__ import annotations
 

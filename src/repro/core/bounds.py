@@ -26,28 +26,43 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sketch import kernels
+
 
 def bw_correlations(
-    q: np.ndarray, stds_i: np.ndarray, stds_j: np.ndarray
+    q: np.ndarray, stds_i: np.ndarray, stds_j: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairwise per-basic-window correlations c_i from the sketch.
 
-    q: (ni, nj, n_bw) bw covariances; stds_*: (n*, n_bw).
+    q: (ni, nj, n_bw) bw covariances; stds_*: (n*, n_bw). Returns c_i of
+    the flat pair rows ``rows`` (pi·nj + pj) pair-major, (len(rows), n_bw);
+    with no ``rows``, of every pair as (ni, nj, n_bw).
     Degenerate basic windows (zero std on either side) get c_i = −1, the
     conservative floor: it maximises the upper bound, so pruning only
     gets *less* aggressive, never unsound-er.
 
-    Implementation note: per-series reciprocals + two broadcast
-    multiplies instead of an (ni·nj·n_bw) division — this tensor is the
-    largest thing Dangoron's query phase touches and elementwise divides
-    dominate it otherwise.
+    Implementation note: per-series reciprocals, multiplied per pair and
+    then into q, instead of a division per (pair, basic window) —
+    elementwise divides would dominate this, the largest array the
+    exact-ci rule builds. Each i row's run of pairs is filled by
+    broadcasting (``kernels.row_runs``), so no per-pair copy of the
+    reciprocals is made.
     """
+    ni, nj, n_bw = q.shape
+    every = rows is None
+    if every:
+        rows = np.arange(ni * nj)
     with np.errstate(divide="ignore"):
         inv_i = np.where(stds_i > 0, 1.0 / stds_i, np.nan)
         inv_j = np.where(stds_j > 0, 1.0 / stds_j, np.nan)
-    c = np.einsum("ijb,ib,jb->ijb", q, inv_i, inv_j, optimize=True)
+    c = np.empty((rows.size, n_bw))
+    for pos, i, j in kernels.row_runs(rows, nj):
+        np.multiply(inv_i[i], inv_j[j], out=c[pos])
+        c[pos] *= q[i, j]
     np.clip(c, -1.0, 1.0, out=c)
-    return np.nan_to_num(c, nan=-1.0, copy=False)
+    np.nan_to_num(c, nan=-1.0, copy=False)
+    return c.reshape(q.shape) if every else c
 
 
 def slack_prefix(c_bw: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -46,10 +46,12 @@ def _pivot_kernel(tile: dict, spec: SlidingSpec, pivot: int) -> TileResult:
     sel = np.flatnonzero((gi == pivot) | (gj == pivot))
     if not sel.size:
         return TileResult()
-    other, rows = gi[sel] + gj[sel] - pivot, rows[sel]
-    terms = kernels.tile_terms(tile, spec)
+    other = gi[sel] + gj[sel] - pivot
+    terms = kernels.tile_terms(tile, spec, rows[sel])  # the pivot's pairs only
     nw = spec.n_windows
-    corr = np.stack([kernels.eval_at_window(terms, rows, w, spec) for w in range(nw)], axis=1)
+    corr = np.stack(
+        [kernels.eval_at_window(terms, slice(None), w, spec) for w in range(nw)], axis=1
+    )
     return TileResult(
         np.repeat(other, nw),
         np.full(other.size * nw, pivot, dtype=np.int64),

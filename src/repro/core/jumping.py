@@ -88,7 +88,8 @@ class TileResult:
         return pd.DataFrame({"i": self.i, "j": self.j, "w": self.w, "corr": self.corr})
 
 
-# A jump rule is built per tile as rule(tile, rows, spec) and returns a
+# A jump rule is built per tile as rule(tile, rows, spec), where rows are
+# the tile's kept pair rows (pair position p is rows[p]), and returns a
 # (clock, target) pair. clock(w) is the rule's clock at window w: one
 # value per pair, or one scalar for all. target(w, c, pos) is the wake
 # threshold T of the pairs at positions pos whose defined below-β
@@ -106,10 +107,13 @@ def sweep(
     """Evaluate one block-pair tile window by window; the one window sweep.
 
     Every engine sweeps the same W windows with the same evaluator
-    (``kernels.eval_at_window``), so their per-cell numpy constants
-    match and wall-clock ratios track cells evaluated; only the jump
-    ``rule`` differs. With no rule (TSUBASA) every pair wakes at every
-    window, so every cell is evaluated.
+    (``kernels.eval_at_window``); only the jump ``rule`` differs. With
+    no rule (TSUBASA) every pair wakes at every window, so every cell is
+    evaluated, and the evaluator sums a view of the fused terms rather
+    than a gathered copy: the same bits, at a lower per-cell cost than a
+    rule's gathered subset. The terms cover the
+    tile's kept pairs only (``pair_tile_arrays``); the sweep addresses
+    pairs by their position among them.
 
     With a rule, each pair holds one wake threshold T and the window it
     last woke at (its anchor). Each window wakes the pairs whose clock
@@ -140,7 +144,7 @@ def sweep(
     stats = FrontierStats(cells=n_pairs * w_total)
     if n_pairs == 0:
         return TileResult(stats=stats)
-    terms = kernels.tile_terms(tile, spec)
+    terms = kernels.tile_terms(tile, spec, rows)
     every = np.arange(n_pairs)  # with no rule, every pair wakes every window
     if rule is not None:
         clock, target = rule(tile, rows, spec)
@@ -167,7 +171,8 @@ def sweep(
         if pivot_corr is not None:
             ub = bounds.triangle_bounds(pivot_corr[gi[act], w], pivot_corr[gj[act], w])[1]
             act = act[~(ub < beta)]  # NaN compares False: never masks
-        c = kernels.eval_at_window(terms, rows[act], w, spec)
+        # every pair: the evaluator sums a view of g instead of a gathered copy
+        c = kernels.eval_at_window(terms, slice(None) if act is every else act, w, spec)
         stats.evals += act.size
         emit = c >= beta  # NaN compares False: undefined cells emit nothing
         if emit.any():
@@ -220,14 +225,13 @@ def _exact_ci_rule(tile: dict, rows: np.ndarray, spec: SlidingSpec):
     (β − c)·n_s; G is monotone, so the first window whose clock reaches
     the target is w + k for the smallest such k.
 
-    G covers the tile's kept pair rows only, laid out (n_bw + 1, pairs)
-    so that each window reads one contiguous row. It costs
-    O(pairs·n_bw) per tile, part of Dangoron's query cost (the baseline
-    never needs it).
+    c_i and G cover the tile's kept pair rows only; G is laid out
+    (n_bw + 1, pairs) so that each window reads one contiguous row. It
+    costs O(pairs·n_bw) per tile, part of Dangoron's query cost (the
+    baseline never needs it).
     """
-    n_bw = tile["q"].shape[2]
-    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"])
-    slack = bounds.slack_prefix(c_bw.reshape(-1, n_bw)[rows].T, axis=0)
+    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"], rows)
+    slack = bounds.slack_prefix(c_bw.T, axis=0)
     first, m, n_s, beta = spec.bw0 + spec.n_s, spec.m, spec.n_s, spec.beta
 
     def clock(w):

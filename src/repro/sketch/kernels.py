@@ -3,16 +3,24 @@
 Everything here is deliberately *honest about algorithmic cost*: a query
 window is always aggregated from its n_s basic-window statistics (the
 TSUBASA evaluation model for ad-hoc windows), never from cross-window
-prefix sums. ``tile_terms`` does a tile's setup once and
+prefix sums. ``tile_terms`` does a tile's setup once: it fuses
+g = q + m_x·m_y for the tile's kept pairs only, one contiguous row of
+n_bw terms per pair (pair-major), and lays the per-series window
+aggregates out window-major, one contiguous row per window.
 ``eval_at_window`` is the one Eq.-1 evaluator: TSUBASA, Dangoron's
-landings and horizontal pruning all call it, so wall-clock differences
-between the engines reflect how many (pair, window) cells each
-evaluates — the quantity the paper's pruning reduces — not
-implementation asymmetry.
+landings, horizontal pruning and its pivot stage all call it. Every
+cell sums all n_s of its terms in one contiguous row reduction. A call
+for every pair (TSUBASA's windows) sums a view of g; a call for a
+subset (a jump rule's landings, the triangle mask's survivors) gathers
+that subset's rows first. Both are Θ(n_s) per cell and give the same
+bits, but the view is cheaper per cell (about 60 against 140 ns on the
+benchmark's tiles, DESIGN.md § physical execution item 5). That favours
+TSUBASA, so engine time ratios understate the cells pruning saves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -98,63 +106,95 @@ def series_window_aggregates(
     return mbar, ss
 
 
-def fuse_pair_terms(q: np.ndarray, means_i: np.ndarray, means_j: np.ndarray) -> np.ndarray:
-    """Per-pair fused sketch g_j = q_j + m_x[j]·m_y[j], flattened.
+def row_runs(rows: np.ndarray, nj: int) -> Iterator[tuple[slice, int, slice]]:
+    """Split flat pair rows (pi·nj + pj) into runs of consecutive pj in one pi.
 
-    Eq. 1's numerator is Σ_j g_j − n_s·M̄_x·M̄_y, so fusing once at tile
-    setup lets every window evaluation do a single gather+sum. Shape
-    (ni·nj, n_bw).
+    Yields (positions, pi, pj range) per run, so a per-pair array can be
+    filled from per-series rows by broadcasting, with no per-pair gather
+    of them. A tile's kept rows (``pair_sketch.pair_tile_arrays``) are
+    one run per i row.
     """
-    g = np.einsum("ib,jb->ijb", means_i, means_j, optimize=True)
-    g += q
-    return g.reshape(-1, q.shape[2])
+    pi, pj = np.divmod(rows, nj)
+    cut = np.flatnonzero((np.diff(rows) != 1) | (np.diff(pi) != 0)) + 1
+    starts, stops = [0, *cut.tolist()], [*cut.tolist(), rows.size]
+    for s, e, i, j in zip(starts, stops, pi[starts].tolist(), pj[starts].tolist()):
+        yield slice(s, e), i, slice(j, j + e - s)
+
+
+def fuse_pair_terms(
+    q: np.ndarray, means_i: np.ndarray, means_j: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fused sketch terms g_b = q_b + m_x[b]·m_y[b] of the pair rows ``rows``.
+
+    Eq. 1's numerator is Σ_b g_b − n_s·M̄_x·M̄_y, so fusing once at tile
+    setup lets every window evaluation sum one row of g. q is
+    (ni, nj, n_bw) and ``rows`` are flat pair rows pi·nj + pj, all
+    ni·nj of them by default. Returns (len(rows), n_bw), pair-major.
+    """
+    ni, nj, n_bw = q.shape
+    if rows is None:
+        rows = np.arange(ni * nj)
+    g = np.empty((rows.size, n_bw))
+    for pos, i, j in row_runs(rows, nj):
+        np.multiply(means_i[i], means_j[j], out=g[pos])
+        g[pos] += q[i, j]
+    return g
 
 
 @dataclass(frozen=True)
 class TileTerms:
     """Everything ``eval_at_window`` reads, built once per tile."""
 
-    g: np.ndarray        # (ni·nj, n_bw) fused pair terms, row = pi·nj + pj
-    mbar_i: np.ndarray   # (ni, W) window means of the i side
-    ss_i: np.ndarray     # (ni, W) n_s × window variances of the i side
-    mbar_j: np.ndarray   # (nj, W)
-    ss_j: np.ndarray     # (nj, W)
+    g: np.ndarray        # (pairs, n_bw) fused terms of the kept pairs, pair-major
+    pi: np.ndarray       # (pairs,) each pair's local row on the i side
+    pj: np.ndarray       # (pairs,) and on the j side
+    mbar_i: np.ndarray   # (W, ni) window means of the i side, window-major
+    ss_i: np.ndarray     # (W, ni) n_s × window variances of the i side
+    mbar_j: np.ndarray   # (W, nj)
+    ss_j: np.ndarray     # (W, nj)
 
 
-def tile_terms(tile: dict, spec: SlidingSpec) -> TileTerms:
-    """Per-tile setup of Eq.-1 evaluation: window aggregates and fused g.
+def tile_terms(tile: dict, spec: SlidingSpec, rows: np.ndarray) -> TileTerms:
+    """Per-tile setup of Eq.-1 evaluation for the pair rows ``rows``.
 
     ``tile`` needs ``means_i``, ``stds_i``, ``means_j``, ``stds_j`` and
-    the pairwise bw covariances ``q`` (ni, nj, n_bw).
+    the pairwise bw covariances ``q`` (ni, nj, n_bw); ``rows`` are flat
+    pair rows pi·nj + pj, usually the kept ones of
+    ``pair_sketch.pair_tile_arrays``. Pair p of the terms is ``rows[p]``.
     """
     mbar_i, ss_i = series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
     mbar_j, ss_j = series_window_aggregates(tile["means_j"], tile["stds_j"], spec)
-    g = fuse_pair_terms(tile["q"], tile["means_i"], tile["means_j"])
-    return TileTerms(g, mbar_i, ss_i, mbar_j, ss_j)
+    g = fuse_pair_terms(tile["q"], tile["means_i"], tile["means_j"], rows)
+    pi, pj = np.divmod(rows, tile["means_j"].shape[0])
+    major = np.ascontiguousarray
+    return TileTerms(g, pi, pj, major(mbar_i.T), major(ss_i.T), major(mbar_j.T), major(ss_j.T))
 
 
 def eval_at_window(
-    terms: TileTerms, rows: np.ndarray, w: int, spec: SlidingSpec
+    terms: TileTerms, pos: np.ndarray | slice, w: int, spec: SlidingSpec
 ) -> np.ndarray:
-    """Exact Eq.-1 correlation of the listed pair rows at window ``w``.
+    """Exact Eq.-1 correlation of the listed pairs at window ``w``.
 
-    The one Eq.-1 evaluator: the sweep calls it with every pair row at
-    every window (TSUBASA) or with the rows its jump rule wakes at ``w``
+    The one Eq.-1 evaluator: the sweep calls it with every pair at every
+    window (TSUBASA) or with the pairs its jump rule wakes at ``w``
     (Dangoron, and horizontal pruning after its triangle mask), and the
-    pivot stage with the pivot's row. Every cell pays the same Θ(n_s)
-    gather-sum over the fused g, so engine wall-clock ratios measure
-    pruning, not implementation skew.
+    pivot stage with the pivot's pairs. Each cell sums its n_s fused
+    terms, one contiguous stretch of its row of g. ``pos`` are positions
+    into the terms' pairs, or ``slice(None)`` for every pair: then the
+    sum reads a view of g, where positions gather their rows into a copy
+    first. The reduction is the same on both, so a cell's value does not
+    depend on which engine evaluated it.
 
-    rows: (c,) flat pair rows (pi·nj + pj) into ``terms.g``. Cells with
-    a zero-variance side are NaN (correlation undefined), mirroring
-    ``np.corrcoef``.
+    Cells with a zero-variance side are NaN (correlation undefined),
+    mirroring ``np.corrcoef``.
     """
     n_s = spec.n_s
     a = spec.bw0 + w * spec.m
-    gsum = terms.g[rows, a : a + n_s].sum(axis=1)
-    si, sj = np.divmod(rows, terms.mbar_j.shape[0])
-    num = gsum - n_s * terms.mbar_i[si, w] * terms.mbar_j[sj, w]
-    den2 = terms.ss_i[si, w] * terms.ss_j[sj, w]
+    gsum = np.einsum("ij->i", terms.g[pos, a : a + n_s])
+    si, sj = terms.pi[pos], terms.pj[pos]
+    num = gsum - n_s * terms.mbar_i[w][si] * terms.mbar_j[w][sj]
+    den2 = terms.ss_i[w][si] * terms.ss_j[w][sj]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den2 > 0, num / np.sqrt(den2), np.nan)
 

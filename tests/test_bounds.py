@@ -75,6 +75,20 @@ class TestBwCorrelations:
         c = bounds.bw_correlations(kernels.pair_bw_cov(xc, xc), stds, stds)
         assert c.min() >= -1.0 and c.max() <= 1.0
 
+    def test_kept_rows_are_the_same_bits(self):
+        X = ar1_matrix(n=6, length=120, seed=3)
+        X[2, :12] = 1.5  # a degenerate basic window
+        xc = kernels.bw_centered(X, 12)
+        _, stds = kernels.bw_means_stds(X, 12)
+        q = kernels.pair_bw_cov(xc[:4], xc[1:])
+        every = bounds.bw_correlations(q, stds[:4], stds[1:])
+        assert every.shape == q.shape
+        rows = np.array([0, 3, 6, 7, 13, 19])
+        kept = bounds.bw_correlations(q, stds[:4], stds[1:], rows)
+        assert kept.shape == (rows.size, q.shape[2])
+        np.testing.assert_array_equal(kept, every.reshape(-1, q.shape[2])[rows])
+        assert (kept == -1.0).any()
+
 
 class TestCiPrefix:
     def test_prefix_reconstructs_range_sums(self):

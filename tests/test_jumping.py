@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.tsubasa import eval_tile_full
 from repro.core import bounds
-from repro.core.jumping import frontier_query
+from repro.core.jumping import frontier_query, sweep
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import pair_tile_arrays
 from repro.synth_data import ar1_matrix, uscrn_like
@@ -218,10 +218,11 @@ def walk(tile, spec, mode):
     Eq. 2 directly (``ci_prefix`` sums of the entering c_i, or c_i = −1
     for worst-case); if no k within the range qualifies, the pair is
     done. Returns the edges as a frame sorted by (i, j, w), the counters,
-    and the number of jumps whose landing bound equals β exactly.
+    and the number of jumps whose landing bound equals β exactly. The
+    c_i come from every pair row of q, not the kept rows the rule reads.
     """
     pi, pj, rows = pair_tile_arrays(tile)
-    terms = kernels.tile_terms(tile, spec)
+    terms = kernels.tile_terms(tile, spec, rows)
     n_bw = tile["q"].shape[2]
     c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"]).reshape(-1, n_bw)
     n_s, m, n_w, beta = spec.n_s, spec.m, spec.n_windows, spec.beta
@@ -231,7 +232,7 @@ def walk(tile, spec, mode):
         pref = ci_prefix(c_bw[row])
         w = 0
         while w < n_w:
-            c = float(kernels.eval_at_window(terms, np.array([row]), w, spec)[0])
+            c = float(kernels.eval_at_window(terms, np.array([p]), w, spec)[0])
             stats["evals"] += 1
             if c >= beta:
                 edges.append((tile["ids_i"][pi[p]], tile["ids_j"][pj[p]], w, c))
@@ -261,12 +262,21 @@ def walk(tile, spec, mode):
 
 
 def assert_sweep_walks(tile, spec, mode):
-    """The sweep's edges and counters equal the walker's; returns the walk."""
+    """The sweep's edges and counters equal the walker's; returns the walk.
+
+    TSUBASA's sweep sums a view of every pair's terms at once, and the
+    walker gathers one pair's row; at every cell the walker emits, the
+    two values must be the same bits.
+    """
     res = frontier_query(tile, spec, mode)
     edges, stats, ties = walk(tile, spec, mode)
     got = res.frame().sort_values(["i", "j", "w"], ignore_index=True)
     pd.testing.assert_frame_equal(got, edges, check_exact=True)
     assert {k: getattr(res.stats, k) for k in stats} == stats
+    full = sweep(tile, spec).frame()
+    shared = edges.merge(full, on=["i", "j", "w"], how="left", suffixes=("", "_full"))
+    assert shared["corr_full"].notna().all(), "TSUBASA missed a cell the walker emits"
+    assert shared["corr_full"].to_numpy().tobytes() == shared["corr"].to_numpy().tobytes()
     return edges, stats, ties
 
 

@@ -86,15 +86,19 @@ CONFIGS = [
 
 
 def eval_every_cell(Xi, Xj, spec):
-    """(ni, nj, W) correlations of a block pair, one ``eval_at_window`` call per window."""
+    """(ni, nj, W) correlations of a block pair, one ``eval_at_window`` call per window.
+
+    The terms cover every pair row, and each call sums a view of them for
+    every pair (``slice(None)``), as TSUBASA's sweep does.
+    """
     mi, si = kernels.bw_means_stds(Xi, spec.bw)
     mj, sj = kernels.bw_means_stds(Xj, spec.bw)
     q = kernels.pair_bw_cov(kernels.bw_centered(Xi, spec.bw), kernels.bw_centered(Xj, spec.bw))
     tile = {"means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj, "q": q}
-    terms = kernels.tile_terms(tile, spec)
-    rows = np.arange(len(Xi) * len(Xj))
+    terms = kernels.tile_terms(tile, spec, np.arange(len(Xi) * len(Xj)))
     corr = np.stack(
-        [kernels.eval_at_window(terms, rows, w, spec) for w in range(spec.n_windows)], axis=1
+        [kernels.eval_at_window(terms, slice(None), w, spec) for w in range(spec.n_windows)],
+        axis=1,
     )
     return corr.reshape(len(Xi), len(Xj), spec.n_windows)
 
@@ -152,11 +156,12 @@ class TestEvalAtWindow:
         spec = SlidingSpec(beta=0.0, **cfg)
         means, stds, q, mbar, ss = build_all(X, spec)
         tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
-        terms = kernels.tile_terms(tile, spec)
-        ref = kernels.exact_window_corr(X, spec)
         rows = np.arange(36)
+        terms = kernels.tile_terms(tile, spec, rows)
+        ref = kernels.exact_window_corr(X, spec)
         for w in range(spec.n_windows):
             got = kernels.eval_at_window(terms, rows, w, spec)
+            assert got.tobytes() == kernels.eval_at_window(terms, slice(None), w, spec).tobytes()
             np.testing.assert_allclose(got.reshape(6, 6), ref[:, :, w], atol=1e-10)
 
     def test_row_subset(self):
@@ -164,8 +169,8 @@ class TestEvalAtWindow:
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
         means, stds, q, mbar, ss = build_all(X, spec)
         tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
-        terms = kernels.tile_terms(tile, spec)
-        sub = np.array([1, 7, 23])
+        terms = kernels.tile_terms(tile, spec, np.arange(25))
+        sub = np.array([1, 7, 23])  # positions, here equal to the flat rows
         got = kernels.eval_at_window(terms, sub, 3, spec)
         ref = kernels.exact_window_corr(X, spec)
         for r, v in zip(sub, got):
@@ -181,6 +186,35 @@ class TestFusePairTerms:
         assert g.shape == (16, 8)
         expect = q + means[:, None, :] * means[None, :, :]
         np.testing.assert_allclose(g, expect.reshape(16, 8), atol=1e-12)
+
+    def test_kept_rows_are_the_same_bits(self):
+        X = ar1_matrix(n=5, length=96, seed=11)
+        means, _ = kernels.bw_means_stds(X, 12)
+        xc = kernels.bw_centered(X, 12)
+        q = kernels.pair_bw_cov(xc[:2], xc)
+        rows = np.array([1, 2, 4, 5, 7, 9])  # 4, 5 cross from i row 0 to 1
+        g = kernels.fuse_pair_terms(q, means[:2], means, rows)
+        assert g.shape == (6, 8) and g.flags.c_contiguous
+        np.testing.assert_array_equal(g, kernels.fuse_pair_terms(q, means[:2], means)[rows])
+
+
+class TestTileTerms:
+    def test_kept_pairs_only(self):
+        X = ar1_matrix(n=5, length=120, seed=12)
+        spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
+        means, stds, q, mbar, ss = build_all(X, spec)
+        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        rows = np.array([1, 2, 8, 14, 19])  # (0,1) (0,2) (1,3) (2,4) (3,4)
+        terms = kernels.tile_terms(tile, spec, rows)
+        assert terms.g.shape == (5, q.shape[2])
+        np.testing.assert_array_equal(terms.pi, [0, 0, 1, 2, 3])
+        np.testing.assert_array_equal(terms.pj, [1, 2, 3, 4, 4])
+        assert terms.mbar_i.shape == (spec.n_windows, 5) and terms.ss_j.flags.c_contiguous
+        np.testing.assert_array_equal(terms.mbar_i, mbar.T)
+        ref = kernels.exact_window_corr(X, spec)
+        for w in range(spec.n_windows):
+            got = kernels.eval_at_window(terms, slice(None), w, spec)
+            np.testing.assert_allclose(got, ref[terms.pi, terms.pj, w], atol=1e-10)
 
 
 class TestExactWindowCorr:
