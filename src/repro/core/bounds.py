@@ -9,13 +9,14 @@ with c_i the pairwise basic-window correlations of the basic windows
 entering during the k slides. Since c_i ≤ 1, every increment
 (1 − c_i)/n_s is ≥ 0, so UB is monotone non-decreasing in k — which is
 what makes the landing, the smallest k with UB(k) ≥ β, well-defined
-(the paper binary-searches for it; the exact-ci jump rule scans for it
-window by window). The bound is proved in the paper under a
-per-basic-window sampling assumption; it is *not* sound for arbitrary
-mean drift, which is exactly why the paper reports ≈90% (not 100%)
-accuracy. The ``worst-case`` mode replaces every c_i by
-its floor −1, giving UB(k) = c + 2·m·k/n_s: looser (shorter jumps) and
-independent of the pair sketch.
+(the paper binary-searches for it; the sweep scans for it window by
+window). The bound is proved in the paper under a per-basic-window
+sampling assumption; it is *not* sound for arbitrary mean drift, which
+is exactly why the paper reports ≈90% (not 100%) accuracy. The
+``worst-case`` mode replaces every c_i by its floor −1, giving
+UB(k) = c + 2·m·k/n_s: looser (shorter jumps) and independent of the
+pair sketch. Its slack prefix is G[b] = 2b, so both modes run the same
+jump rule over ``slack_prefix``'s G.
 
 Horizontal bound (sound): for any three series within one window the
 correlation matrix is PSD, hence with c_xz, c_yz known,
@@ -36,8 +37,8 @@ def bw_correlations(
     """Pairwise per-basic-window correlations c_i from the sketch.
 
     q: (ni, nj, n_bw) bw covariances; stds_*: (n*, n_bw). Returns c_i of
-    the flat pair rows ``rows`` (pi·nj + pj) pair-major, (len(rows), n_bw);
-    with no ``rows``, of every pair as (ni, nj, n_bw).
+    the flat pair rows ``rows`` (pi·nj + pj), all ni·nj of them by
+    default, pair-major: (len(rows), n_bw).
     Degenerate basic windows (zero std on either side) get c_i = −1, the
     conservative floor: it maximises the upper bound, so pruning only
     gets *less* aggressive, never unsound-er.
@@ -45,13 +46,12 @@ def bw_correlations(
     Implementation note: per-series reciprocals, multiplied per pair and
     then into q, instead of a division per (pair, basic window) —
     elementwise divides would dominate this, the largest array the
-    exact-ci rule builds. Each i row's run of pairs is filled by
+    exact-ci mode builds. Each i row's run of pairs is filled by
     broadcasting (``kernels.row_runs``), so no per-pair copy of the
     reciprocals is made.
     """
     ni, nj, n_bw = q.shape
-    every = rows is None
-    if every:
+    if rows is None:
         rows = np.arange(ni * nj)
     with np.errstate(divide="ignore"):
         inv_i = np.where(stds_i > 0, 1.0 / stds_i, np.nan)
@@ -62,7 +62,7 @@ def bw_correlations(
         c[pos] *= q[i, j]
     np.clip(c, -1.0, 1.0, out=c)
     np.nan_to_num(c, nan=-1.0, copy=False)
-    return c.reshape(q.shape) if every else c
+    return c
 
 
 def slack_prefix(c_bw: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -71,9 +71,9 @@ def slack_prefix(c_bw: np.ndarray, axis: int = -1) -> np.ndarray:
     Eq. 2 rearranged: UB(k) = c + (G[a0 + m·k] − G[a0]) / n_s where a0
     indexes the first entering basic window. G is non-decreasing
     (1 − c_i ≥ 0), so the smallest k with UB(k) ≥ β is where G first
-    reaches G[a0] + (β − c)·n_s; the exact-ci jump rule scans for it
-    window by window. The prefix runs along the basic-window ``axis``,
-    which grows by one.
+    reaches G[a0] + (β − c)·n_s; the sweep scans for it window by
+    window. The prefix runs along the basic-window ``axis``, which grows
+    by one.
     """
     shape = list(c_bw.shape)
     shape[axis] += 1
@@ -82,12 +82,6 @@ def slack_prefix(c_bw: np.ndarray, axis: int = -1) -> np.ndarray:
     tail[axis] = slice(1, None)
     np.cumsum(1.0 - c_bw, axis=axis, out=pref[tuple(tail)])
     return pref
-
-
-def worst_case_jump(c: np.ndarray, beta: float, m: int, n_s: int) -> np.ndarray:
-    """Smallest k ≥ 1 with worst-case UB(k) ≥ β, in closed form."""
-    k = np.ceil((beta - c) * n_s / (2.0 * m)).astype(np.int64)
-    return np.maximum(k, 1)
 
 
 def triangle_bounds(c_xz: np.ndarray, c_yz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

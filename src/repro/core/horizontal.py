@@ -77,10 +77,15 @@ def pivot_matrix(pair_sketch_df: DataFrame, spec: SlidingSpec, pivot: int) -> np
     """The pivot stage collected on the driver: P[x, w] = c(x, pivot) at window w.
 
     Shape (N, W), indexed by global series id; the pivot's own row is NaN.
+    Every series of a sketch is in some tile's pairs, so a stage that
+    returns no row names no series of the sketch: that raises a
+    ``ValueError`` naming the pivot, before any sweep reads P.
     """
     pdf = pivot_correlations(pair_sketch_df, spec, pivot).toPandas()
+    if pdf.empty:
+        raise ValueError(f"pivot {pivot} is not a series of the sketch: no tile holds it")
     x = pdf["x"].to_numpy()
-    n = max(int(x.max()) if x.size else 0, pivot) + 1
+    n = max(int(x.max()), pivot) + 1
     corr = np.full((n, spec.n_windows), np.nan)
     corr[x, pdf["w"].to_numpy()] = pdf["c"].to_numpy()
     return corr

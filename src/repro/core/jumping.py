@@ -13,16 +13,17 @@ Fig. 2 of the paper:
 
 All pairs of the tile advance together ("frontier"). The smallest k is
 found by a scan rather than a search: a below-β pair stores a wake
-threshold and waits, and each window wakes, with one vectorized
-compare, the pairs whose clock has reached their threshold. The total
-number of exact evaluations — the quantity the paper's pruning reduces
-— is counted and returned.
+threshold on its Eq.-2 slack prefix G and waits, and each window wakes,
+with one vectorized compare, the pairs whose G has reached their
+threshold. The total number of exact evaluations — the quantity the
+paper's pruning reduces — is counted and returned.
 
 ``sweep`` is the one window loop of every engine: TSUBASA runs it with
-no jump rule, Dangoron with the exact-ci or worst-case Eq.-2 rule, and
-horizontal pruning with no jump rule and a triangle mask — the pivot
-correlations bound each woken cell, and a cell whose bound is below β
-steps to the next window unevaluated.
+no mode, Dangoron in the exact-ci or worst-case mode, and horizontal
+pruning with no mode and a triangle mask — the pivot correlations bound
+each woken cell, and a cell whose bound is below β steps to the next
+window unevaluated. The two modes are one jump rule over two slack
+prefixes (``slack_rows``): the pair's true c_i, or every c_i at −1.
 """
 from __future__ import annotations
 
@@ -88,42 +89,53 @@ class TileResult:
         return pd.DataFrame({"i": self.i, "j": self.j, "w": self.w, "corr": self.corr})
 
 
-# A jump rule is built per tile as rule(tile, rows, spec), where rows are
-# the tile's kept pair rows (pair position p is rows[p]), and returns a
-# (clock, target) pair. clock(w) is the rule's clock at window w: one
-# value per pair, or one scalar for all. target(w, c, pos) is the wake
-# threshold T of the pairs at positions pos whose defined below-β
-# correlations at w are c. The clock never decreases, and it reaches T
-# first at window w + k for the smallest k with UB(k) ≥ β.
-Clock = Callable[[int], np.ndarray | int]
-Target = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-JumpRule = Callable[[dict, np.ndarray, SlidingSpec], tuple[Clock, Target]]
+MODES = ("exact-ci", "worst-case")
+
+
+def slack_rows(tile: dict, rows: np.ndarray, mode: str) -> np.ndarray:
+    """Eq.-2 slack prefix G of the pair rows ``rows`` in ``mode``.
+
+    G[b] = Σ_{i<b} (1 − c_i) (``bounds.slack_prefix``), laid out
+    (n_bw + 1, pairs) so that each window reads one contiguous row.
+    exact-ci takes each pair's true c_i from the sketch, at
+    O(pairs·n_bw) per tile, part of Dangoron's query cost (the baseline
+    never needs it). worst-case takes every c_i at its floor −1, so
+    G[b] = 2b for every pair: a broadcast view that allocates nothing.
+    """
+    n_bw = tile["q"].shape[2]
+    if mode == "worst-case":
+        return np.broadcast_to(2.0 * np.arange(n_bw + 1)[:, None], (n_bw + 1, rows.size))
+    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"], rows)
+    return bounds.slack_prefix(c_bw.T, axis=0)
 
 
 def sweep(
-    tile: dict, spec: SlidingSpec, rule: JumpRule | None = None,
+    tile: dict, spec: SlidingSpec, mode: str | None = None,
     pivot_corr: np.ndarray | None = None,
 ) -> TileResult:
     """Evaluate one block-pair tile window by window; the one window sweep.
 
     Every engine sweeps the same W windows with the same evaluator
-    (``kernels.eval_at_window``); only the jump ``rule`` differs. With
-    no rule (TSUBASA) every pair wakes at every window, so every cell is
+    (``kernels.eval_at_window``); only the Eq.-2 ``mode`` differs. With
+    no mode (TSUBASA) every pair wakes at every window, so every cell is
     evaluated, and the evaluator sums a view of the fused terms rather
     than a gathered copy: the same bits, at a lower per-cell cost than a
-    rule's gathered subset. The terms cover the
-    tile's kept pairs only (``pair_tile_arrays``); the sweep addresses
-    pairs by their position among them.
+    jumping engine's gathered subset. The terms cover the tile's kept
+    pairs only (``pair_tile_arrays``); the sweep addresses pairs by
+    their position among them.
 
-    With a rule, each pair holds one wake threshold T and the window it
-    last woke at (its anchor). Each window wakes the pairs whose clock
-    has reached their T. A woken pair's defined below-β cell sets T from
-    the rule's target and the pair waits; every other woken cell sets
-    T = −inf, so the pair wakes at the next window. A pair that never
-    reaches its T is done. A jump of k = w − anchor is counted when a
-    waiting pair wakes at w, and k = W − anchor after the last window
-    for a pair still waiting; ``probes`` counts the (waiting pair,
-    window) wake tests.
+    With a mode (one of ``MODES``), each pair holds one wake threshold T
+    on its slack prefix G (``slack_rows``) and the window it last woke
+    at (its anchor). Window w wakes the pairs whose G in row
+    a = bw0 + w·m + n_s, w's first entering basic window, has reached
+    their T. A woken pair's defined below-β cell sets T to that G plus
+    (β − c)·n_s and the pair waits: UB(k) ≥ β ⟺ G[a + m·k] ≥ T, and G
+    is monotone, so the first window to wake it is w + k for the
+    smallest such k. Every other woken cell sets T = −inf, so the pair
+    wakes at the next window. A pair that never reaches its T is done.
+    A jump of k = w − anchor is counted when a waiting pair wakes at w,
+    and k = W − anchor after the last window for a pair still waiting;
+    ``probes`` counts the (waiting pair, window) wake tests.
 
     ``pivot_corr`` (N × W, indexed by global series id) holds each
     series' correlations with a pivot z. Given it, a woken cell whose
@@ -137,7 +149,9 @@ def sweep(
     as ``streaming.query.store_to_tile`` builds them; the sweep only
     reads it.
     """
-    w_total, beta = spec.n_windows, spec.beta
+    if mode is not None and mode not in MODES:
+        raise ValueError(f"unknown bound mode {mode!r}; expected one of {MODES}")
+    w_total, beta, m, n_s = spec.n_windows, spec.beta, spec.m, spec.n_s
     pi, pj, rows = pair_tile_arrays(tile)
     gi, gj = tile["ids_i"][pi], tile["ids_j"][pj]
     n_pairs = rows.size
@@ -145,9 +159,9 @@ def sweep(
     if n_pairs == 0:
         return TileResult(stats=stats)
     terms = kernels.tile_terms(tile, spec, rows)
-    every = np.arange(n_pairs)  # with no rule, every pair wakes every window
-    if rule is not None:
-        clock, target = rule(tile, rows, spec)
+    every = np.arange(n_pairs)  # with no mode, every pair wakes every window
+    if mode is not None:
+        slack = slack_rows(tile, rows, mode)
         wake = np.full(n_pairs, -np.inf)
         anchor = np.full(n_pairs, -1, dtype=np.int64)
         n_wait = 0
@@ -157,11 +171,12 @@ def sweep(
     out_c: list[np.ndarray] = []
 
     for w in range(w_total):
-        if rule is None:
+        if mode is None:
             act = every
         else:
+            g_w = slack[spec.bw0 + w * m + n_s]  # G at w's first entering basic window
             stats.probes += n_wait
-            act = np.flatnonzero(clock(w) >= wake)
+            act = np.flatnonzero(g_w >= wake)
             n_wait = n_pairs - act.size
             k = w - anchor[act]
             stats.jumps += int(np.count_nonzero(k > 1))
@@ -182,15 +197,15 @@ def sweep(
             out_w.append(np.full(sel.size, w, dtype=np.int64))
             out_c.append(c[emit])
             stats.emitted += int(emit.sum())
-        if rule is not None:
+        if mode is not None:
             # Wait only from defined below-threshold cells; undefined ones
             # (zero-variance window) step by one — no bound can be anchored.
             below = c < beta
             sel = act[below]
-            wake[sel] = target(w, c[below], sel)
+            wake[sel] = g_w[sel] + (beta - c[below]) * n_s
             n_wait += sel.size
 
-    if rule is not None:
+    if mode is not None:
         k = w_total - anchor  # 1 for every pair that woke at the last window
         stats.jumps += int(np.count_nonzero(k > 1))
         stats.jump_lengths += int(k.sum()) - n_pairs
@@ -202,58 +217,11 @@ def sweep(
     )
 
 
-def _worst_case_rule(tile: dict, rows: np.ndarray, spec: SlidingSpec):
-    """Eq. 2 with every entering c_i at its floor −1: a closed-form jump.
-
-    The clock is the window index; a cell's target is its window plus
-    the closed-form k.
-    """
-
-    def target(w, c, pos):
-        return w + bounds.worst_case_jump(c, spec.beta, spec.m, spec.n_s)
-
-    return (lambda w: w), target
-
-
-def _exact_ci_rule(tile: dict, rows: np.ndarray, spec: SlidingSpec):
-    """Eq. 2 with the pair's true entering c_i: the clock is the slack prefix G.
-
-    From window w, UB(k) ≥ β ⟺ G[a + m·k] ≥ G[a] + (β − c)·n_s, where
-    a = bw0 + w·m + n_s is w's first entering basic window and a + m·k
-    is the same index for window w + k. So the clock at window w is row
-    bw0 + w·m + n_s of G and a cell's target is its clock plus
-    (β − c)·n_s; G is monotone, so the first window whose clock reaches
-    the target is w + k for the smallest such k.
-
-    c_i and G cover the tile's kept pair rows only; G is laid out
-    (n_bw + 1, pairs) so that each window reads one contiguous row. It
-    costs O(pairs·n_bw) per tile, part of Dangoron's query cost (the
-    baseline never needs it).
-    """
-    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"], rows)
-    slack = bounds.slack_prefix(c_bw.T, axis=0)
-    first, m, n_s, beta = spec.bw0 + spec.n_s, spec.m, spec.n_s, spec.beta
-
-    def clock(w):
-        return slack[first + w * m]
-
-    def target(w, c, pos):
-        return clock(w)[pos] + (beta - c) * n_s
-
-    return clock, target
-
-
-_RULES = {"exact-ci": _exact_ci_rule, "worst-case": _worst_case_rule}
-MODES = tuple(_RULES)
-
-
 def frontier_query(tile: dict, spec: SlidingSpec, mode: str = "exact-ci") -> TileResult:
     """Run Dangoron over one block-pair sketch tile.
 
-    The window sweep with the Eq.-2 jump rule of ``mode``. Returns the
-    emitted (i, j, w, corr ≥ β) cells with global series ids and the
-    work counters.
+    The window sweep in Eq.-2 ``mode``. Returns the emitted
+    (i, j, w, corr ≥ β) cells with global series ids and the work
+    counters.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown bound mode {mode!r}; expected one of {MODES}")
-    return sweep(tile, spec, _RULES[mode])
+    return sweep(tile, spec, mode)

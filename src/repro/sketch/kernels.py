@@ -158,11 +158,28 @@ class TileTerms:
 def tile_terms(tile: dict, spec: SlidingSpec, rows: np.ndarray) -> TileTerms:
     """Per-tile setup of Eq.-1 evaluation for the pair rows ``rows``.
 
-    ``tile`` needs ``means_i``, ``stds_i``, ``means_j``, ``stds_j`` and
-    the pairwise bw covariances ``q`` (ni, nj, n_bw); ``rows`` are flat
-    pair rows pi·nj + pj, usually the kept ones of
-    ``pair_sketch.pair_tile_arrays``. Pair p of the terms is ``rows[p]``.
+    ``tile`` needs its basic-window size ``bw``, ``means_i``, ``stds_i``,
+    ``means_j``, ``stds_j`` and the pairwise bw covariances ``q``
+    (ni, nj, n_bw); ``rows`` are flat pair rows pi·nj + pj, usually the
+    kept ones of ``pair_sketch.pair_tile_arrays``. Pair p of the terms
+    is ``rows[p]``.
+
+    Raises a ``ValueError`` when ``spec`` does not fit the tile: a
+    different basic window would sum the wrong terms, and a window past
+    the tile's n_bw basic windows would read past the tile's arrays.
     """
+    n_bw = tile["q"].shape[2]
+    if spec.bw != tile["bw"]:
+        raise ValueError(
+            f"query bw={spec.bw} does not match the sketch's bw={tile['bw']}; "
+            "build the sketch at the query's basic window"
+        )
+    needed = spec.bw0 + (spec.n_windows - 1) * spec.m + spec.n_s
+    if needed > n_bw:
+        raise ValueError(
+            f"query end={spec.end} needs {needed} basic windows, but the sketch "
+            f"holds {n_bw} (bw={spec.bw})"
+        )
     mbar_i, ss_i = series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
     mbar_j, ss_j = series_window_aggregates(tile["means_j"], tile["stds_j"], spec)
     g = fuse_pair_terms(tile["q"], tile["means_i"], tile["means_j"], rows)

@@ -171,16 +171,16 @@ def build_pair_sketch(
     ships as a broadcast once it passes 1 MiB; they cross to the workers
     once, Θ(N·L) bytes.
 
-    The tile holds everything Eq.-1 evaluation needs: global series ids
-    and per-bw means/stds of its i rows and j columns, which the payload
-    carries, and the pairwise bw covariance tensor q (ni, nj, n_bw),
-    which the task writes to ``tile_path(directory, tid)``
-    (``write_tile_q``); the payload names that file. ``directory`` must
-    exist and is owned by the caller (``harness.build_sketch`` hands its
-    handle's, the traced shim one from ``new_sketch_dir``). The centred
-    raw data is *not* carried forward — after this stage every engine
-    works purely from sketch statistics, as the paper's framework
-    prescribes.
+    The tile holds everything Eq.-1 evaluation needs: its basic-window
+    size, global series ids and per-bw means/stds of its i rows and j
+    columns, which the payload carries, and the pairwise bw covariance
+    tensor q (ni, nj, n_bw), which the task writes to
+    ``tile_path(directory, tid)`` (``write_tile_q``); the payload names
+    that file. ``directory`` must exist and is owned by the caller
+    (``harness.build_sketch`` hands its handle's, the traced shim one
+    from ``new_sketch_dir``). The centred raw data is *not* carried
+    forward — after this stage every engine works purely from sketch
+    statistics, as the paper's framework prescribes.
 
     Eq. 1 and the window variances are invariant under a per-series
     shift, but their sums of squared means cancel catastrophically when
@@ -213,6 +213,7 @@ def build_pair_sketch(
                 q = kernels.pair_bw_cov(centred[rows], centred[cols])
                 payload = pickle.dumps(
                     {
+                        "bw": bw,
                         "ids_i": ids[rows],
                         "ids_j": ids[cols],
                         "means_i": means[rows],

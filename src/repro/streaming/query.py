@@ -54,6 +54,7 @@ def store_to_tile(store: SketchStore) -> dict:
     q[d, d] = var
     stds = np.sqrt(var)
     return {
+        "bw": store.bw,
         "ids_i": ids,
         "ids_j": ids,
         "means_i": means,

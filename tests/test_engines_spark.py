@@ -117,6 +117,20 @@ class TestDangoron:
         with pytest.raises(ValueError, match="bound mode"):
             dangoron.query(sketch.df, SPEC, "nope")
 
+    @pytest.mark.parametrize(
+        "spec, pattern",
+        [
+            (SlidingSpec(start=0, end=L, window=144, step=48, beta=0.6, bw=48),
+             "query bw=48 does not match the sketch's bw=24"),
+            (SlidingSpec(start=0, end=L + 240, window=120, step=24, beta=0.6, bw=24),
+             "end=960 needs 40 basic windows, but the sketch holds 30"),
+        ],
+        ids=["other-bw", "past-the-data"],
+    )
+    def test_query_that_does_not_fit_the_sketch_raises(self, sketch, spec, pattern):
+        with pytest.raises(Exception, match=pattern):
+            dangoron.query(sketch.df, spec, "exact-ci").count()
+
 
 class TestNaive:
     def test_matches_reference(self, spark, X, ref_edges):
@@ -171,7 +185,7 @@ def whole_tile(X) -> dict:
     xc = kernels.bw_centered(X, SPEC.bw)
     ids = np.arange(N, dtype=np.int64)
     return {
-        "ids_i": ids, "ids_j": ids, "means_i": means, "stds_i": stds,
+        "bw": SPEC.bw, "ids_i": ids, "ids_j": ids, "means_i": means, "stds_i": stds,
         "means_j": means, "stds_j": stds, "q": kernels.pair_bw_cov(xc, xc),
     }
 

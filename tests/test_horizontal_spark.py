@@ -113,3 +113,8 @@ class TestTriangleMask:
         before = persistent().size()
         horizontal.query(spark, sketch.df, SPEC, 2, 5).toPandas()
         assert persistent().size() == before
+
+    @pytest.mark.parametrize("pivot", [-1, N])
+    def test_unknown_pivot_raises(self, spark, sketch, pivot):
+        with pytest.raises(ValueError, match=f"pivot {pivot} is not a series of the sketch"):
+            horizontal.query(spark, sketch.df, SPEC, pivot, 5).count()

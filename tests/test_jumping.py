@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.tsubasa import eval_tile_full
 from repro.core import bounds
-from repro.core.jumping import frontier_query, sweep
+from repro.core.jumping import frontier_query, slack_rows, sweep
 from repro.sketch import kernels
 from repro.sketch.pair_sketch import pair_tile_arrays
 from repro.synth_data import ar1_matrix, uscrn_like
@@ -21,6 +21,7 @@ def make_tile(X, spec):
     q = kernels.pair_bw_cov(xc, xc)
     n = X.shape[0]
     return {
+        "bw": spec.bw,
         "ids_i": np.arange(n, dtype=np.int64),
         "ids_j": np.arange(n, dtype=np.int64),
         "means_i": means,
@@ -109,11 +110,51 @@ class TestFrontierCorrectness:
         assert res.i.size == 0 and res.stats.cells == 0
 
 
+class TestSlackRows:
+    @pytest.mark.parametrize("mode", ["exact-ci", "worst-case"])
+    def test_slack_prefix_of_the_modes_ci(self, ar_case, mode):
+        # worst-case's broadcast 2b is the slack of every c_i at −1, bit for bit
+        _, _, tile, _ = ar_case
+        rows = pair_tile_arrays(tile)[2]
+        c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"])[rows]
+        if mode == "worst-case":
+            c_bw = np.full_like(c_bw, -1.0)
+        got = slack_rows(tile, rows, mode)
+        assert got.shape == (c_bw.shape[1] + 1, rows.size)
+        np.testing.assert_array_equal(got, bounds.slack_prefix(c_bw.T, axis=0))
+
+
+class TestSpecMustFitTheSketch:
+    """A query the tile cannot answer is refused by every engine, not answered.
+
+    The tile is built at bw 12 over 360 steps (30 basic windows).
+    """
+
+    @staticmethod
+    def run(tile, spec, mode):
+        return sweep(tile, spec) if mode is None else frontier_query(tile, spec, mode)
+
+    @pytest.mark.parametrize("mode", [None, "exact-ci", "worst-case"])
+    def test_range_past_the_data(self, ar_case, mode):
+        _, _, tile, _ = ar_case
+        past = SlidingSpec(start=0, end=480, window=72, step=12, beta=0.4, bw=12)
+        with pytest.raises(ValueError, match="end=480 needs 40 basic windows, but the sketch holds 30"):
+            self.run(tile, past, mode)
+
+    @pytest.mark.parametrize("mode", [None, "exact-ci", "worst-case"])
+    def test_other_basic_window(self, ar_case, mode):
+        _, _, tile, _ = ar_case
+        coarse = SlidingSpec(start=0, end=360, window=72, step=24, beta=0.4, bw=24)
+        with pytest.raises(ValueError, match="query bw=24 does not match the sketch's bw=12"):
+            self.run(tile, coarse, mode)
+
+
 def make_cross_tile(X, split, spec):
     """Off-diagonal tile of series [0, split) against [split, N)."""
     mi, si = kernels.bw_means_stds(X[:split], spec.bw)
     mj, sj = kernels.bw_means_stds(X[split:], spec.bw)
     return {
+        "bw": spec.bw,
         "ids_i": np.arange(split, dtype=np.int64),
         "ids_j": np.arange(split, X.shape[0], dtype=np.int64),
         "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj,
@@ -219,12 +260,11 @@ def walk(tile, spec, mode):
     for worst-case); if no k within the range qualifies, the pair is
     done. Returns the edges as a frame sorted by (i, j, w), the counters,
     and the number of jumps whose landing bound equals β exactly. The
-    c_i come from every pair row of q, not the kept rows the rule reads.
+    c_i come from every pair row of q, not the kept rows the sweep reads.
     """
     pi, pj, rows = pair_tile_arrays(tile)
     terms = kernels.tile_terms(tile, spec, rows)
-    n_bw = tile["q"].shape[2]
-    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"]).reshape(-1, n_bw)
+    c_bw = bounds.bw_correlations(tile["q"], tile["stds_i"], tile["stds_j"])
     n_s, m, n_w, beta = spec.n_s, spec.m, spec.n_windows, spec.beta
     edges, ties = [], 0
     stats = {"evals": 0, "jumps": 0, "jump_lengths": 0, "emitted": 0}
@@ -284,7 +324,7 @@ def make_band(X, lo, hi, spec):
     """Rows [lo, hi) of a diagonal tile, paired with the series from lo on."""
     tile = make_tile(X, spec)
     return {
-        "ids_i": tile["ids_i"][lo:hi], "ids_j": tile["ids_j"][lo:],
+        "bw": spec.bw, "ids_i": tile["ids_i"][lo:hi], "ids_j": tile["ids_j"][lo:],
         "means_i": tile["means_i"][lo:hi], "stds_i": tile["stds_i"][lo:hi],
         "means_j": tile["means_j"][lo:], "stds_j": tile["stds_j"][lo:],
         "q": tile["q"][lo:hi, lo:],
@@ -307,7 +347,7 @@ def dyadic_tile(n, n_bw, seed):
     ids = np.arange(n, dtype=np.int64)
     zeros, ones = np.zeros((n, n_bw)), np.ones((n, n_bw))
     return {
-        "ids_i": ids, "ids_j": ids, "means_i": zeros, "stds_i": ones,
+        "bw": 1, "ids_i": ids, "ids_j": ids, "means_i": zeros, "stds_i": ones,
         "means_j": zeros, "stds_j": ones, "q": q,
     }
 
@@ -346,11 +386,16 @@ class TestSweepMatchesReferenceWalker:
         assert np.isnan(ref[0, 4]).any() and np.isnan(ref[0, 2]).all()
         assert_sweep_walks(make_tile(X, spec), spec, mode)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_two_basic_windows_per_step(self, mode):
+    @pytest.mark.parametrize(
+        "mode, m",
+        [pytest.param(mode, 2, id=mode) for mode in MODES]
+        + [pytest.param(mode, 3, id=f"{mode}-m3") for mode in MODES],
+    )
+    def test_two_basic_windows_per_step(self, mode, m):
+        # m = 3: worst-case's slack steps by 2m = 6 per window, not a power of two
         X = ar1_matrix(n=7, length=480, seed=23)
-        spec = SlidingSpec(start=24, end=480, window=96, step=24, beta=0.35, bw=12)
-        assert spec.m == 2 and spec.bw0 == 2
+        spec = SlidingSpec(start=24, end=480, window=96, step=12 * m, beta=0.35, bw=12)
+        assert spec.m == m and spec.bw0 == 2
         _, stats, _ = assert_sweep_walks(make_tile(X, spec), spec, mode)
         assert stats["jumps"] > 0
 

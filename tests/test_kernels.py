@@ -94,7 +94,7 @@ def eval_every_cell(Xi, Xj, spec):
     mi, si = kernels.bw_means_stds(Xi, spec.bw)
     mj, sj = kernels.bw_means_stds(Xj, spec.bw)
     q = kernels.pair_bw_cov(kernels.bw_centered(Xi, spec.bw), kernels.bw_centered(Xj, spec.bw))
-    tile = {"means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj, "q": q}
+    tile = {"bw": spec.bw, "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj, "q": q}
     terms = kernels.tile_terms(tile, spec, np.arange(len(Xi) * len(Xj)))
     corr = np.stack(
         [kernels.eval_at_window(terms, slice(None), w, spec) for w in range(spec.n_windows)],
@@ -155,7 +155,7 @@ class TestEvalAtWindow:
         X = ar1_matrix(n=6, length=240, seed=8)
         spec = SlidingSpec(beta=0.0, **cfg)
         means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
         rows = np.arange(36)
         terms = kernels.tile_terms(tile, spec, rows)
         ref = kernels.exact_window_corr(X, spec)
@@ -168,7 +168,7 @@ class TestEvalAtWindow:
         X = ar1_matrix(n=5, length=120, seed=9)
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
         means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
         terms = kernels.tile_terms(tile, spec, np.arange(25))
         sub = np.array([1, 7, 23])  # positions, here equal to the flat rows
         got = kernels.eval_at_window(terms, sub, 3, spec)
@@ -203,7 +203,7 @@ class TestTileTerms:
         X = ar1_matrix(n=5, length=120, seed=12)
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
         means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
         rows = np.array([1, 2, 8, 14, 19])  # (0,1) (0,2) (1,3) (2,4) (3,4)
         terms = kernels.tile_terms(tile, spec, rows)
         assert terms.g.shape == (5, q.shape[2])

@@ -128,7 +128,8 @@ class TestBadInputRejected:
 class TestBlockPacking:
     def test_matrix_and_long_paths_agree(self, spark, long_df, X):
         # the long rows read into a matrix give the matrix path's tiles:
-        # every loaded array equal in dtype, shape and bytes
+        # every loaded value (arrays, and the scalar bw) equal in dtype,
+        # shape and bytes
         Xl = from_long_pdf(long_df.toPandas())
         for block_size in BLOCK_SIZES:
             with built_tiles(spark, X, block_size) as a, built_tiles(spark, Xl, block_size) as b:
@@ -137,9 +138,10 @@ class TestBlockPacking:
                     assert key_a == key_b
                     assert list(ta) == list(tb)
                     for k in ta:
-                        assert ta[k].dtype == tb[k].dtype, k
-                        assert ta[k].shape == tb[k].shape, k
-                        assert ta[k].tobytes() == tb[k].tobytes(), k
+                        va, vb = np.asarray(ta[k]), np.asarray(tb[k])
+                        assert va.dtype == vb.dtype, k
+                        assert va.shape == vb.shape, k
+                        assert va.tobytes() == vb.tobytes(), k
 
     def test_bundle_contents(self, spark, X):
         # the traced setup's blocks are X's raw rows, block_size at a time
