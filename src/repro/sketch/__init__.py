@@ -10,9 +10,9 @@ verified against ``np.corrcoef`` and DuckDB in the tests.
 Layers:
 
 - ``kernels``     — pure numpy math shared by every engine;
-- ``pair_sketch`` — building from the dense matrix the tiles of the pair
-                    sketch (per-bw covariances, means and stds) that every
-                    query engine consumes, one per block pair;
+- ``pair_sketch`` — the one tile recipe ``matrix_tile`` (per-bw covariances,
+                    means and stds), and the build from the dense matrix of
+                    the tiles every query engine consumes, one per block pair;
 - ``blocks``      — the matrix's raw row blocks as a DataFrame, for a
                     caller that times packing apart from the build.
 """

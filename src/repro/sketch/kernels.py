@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tsio.validation import SlidingSpec
 
@@ -74,14 +74,13 @@ def sliding_window_sums(arr: np.ndarray, spec: SlidingSpec) -> np.ndarray:
 
     arr: (..., n_bw). Returns (..., W) where W = spec.n_windows. Cost is
     Θ(cells × n_s): a strided view over the basic windows of each window
-    is materialised by the reduction — no cross-window sharing.
+    is materialised by the reduction — no cross-window sharing. A window
+    past the n_bw basic windows raises a ``ValueError``.
     """
     lead = arr.shape[:-1]
     flat = np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]))
     w, m, n_s = spec.n_windows, spec.m, spec.n_s
-    sub = flat[:, spec.bw0 : spec.bw0 + (w - 1) * m + n_s]
-    s0, s1 = sub.strides
-    view = as_strided(sub, shape=(flat.shape[0], w, n_s), strides=(s0, s1 * m, s1))
+    view = sliding_window_view(flat, n_s, axis=1)[:, spec.bw0 : spec.bw0 + (w - 1) * m + 1 : m]
     return view.sum(axis=2).reshape(*lead, w)
 
 

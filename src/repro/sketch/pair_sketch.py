@@ -1,9 +1,9 @@
 """Pairwise basic-window covariance sketch.
 
 ``build_pair_sketch`` takes the dense matrix, lays the sketch's tiles
-out on the driver over blocks of consecutive series and computes each
-tile's pairwise bw-covariance tensor with an einsum kernel, in one
-shuffle-free ``mapInPandas`` stage. The result — one binary payload per
+out on the driver over blocks of consecutive series and makes each with
+``matrix_tile``, the one tile recipe, in one shuffle-free
+``mapInPandas`` stage. The result — one binary payload per
 tile, one tile per Spark partition — is what every query engine
 (TSUBASA, Dangoron, horizontal pruning) consumes; building it is the
 shared "sketch build" phase that pure query time excludes.
@@ -150,6 +150,29 @@ def write_tile_q(directory: str, tid: int, q: np.ndarray) -> int:
     return size
 
 
+def matrix_tile(X: np.ndarray, bw: int, rows: slice, cols: slice) -> dict:
+    """The sketch tile of series ``rows`` against series ``cols`` of X.
+
+    The one tile recipe, for the build's tasks and the tests: bw, each
+    side's global ids, per-bw means and population stds, and the pairwise
+    bw covariances q (ni, nj, n_bw) of the two sides' bw-centred rows.
+
+    Each series' means are centred on its first basic-window mean. Eq. 1
+    and the window variances are shift-invariant, but their sums of
+    squared means cancel when a series sits far from 0: with raw means,
+    adding 1e7 to a climate-like panel moved correlations by up to
+    7.9e-2. Centring leaves q and the stds as they are and bounds that
+    error by the rounding of the input itself.
+    """
+    ids = np.arange(X.shape[0], dtype=np.int64)
+    tile = {"bw": bw, "ids_i": ids[rows], "ids_j": ids[cols]}
+    for side, sel in (("i", rows), ("j", cols)):
+        means, stds = kernels.bw_means_stds(X[sel], bw)
+        tile[f"means_{side}"], tile[f"stds_{side}"] = means - means[:, :1], stds
+    xc_i, xc_j = (kernels.bw_centered(X[sel], bw) for sel in (rows, cols))
+    return tile | {"q": kernels.pair_bw_cov(xc_i, xc_j)}
+
+
 def build_pair_sketch(
     spark: SparkSession,
     X: np.ndarray,
@@ -159,17 +182,14 @@ def build_pair_sketch(
 ) -> DataFrame:
     """The dense (N, L) matrix -> one sketch tile per partition.
 
-    Rejects a non-finite value (``require_finite``), computes the
-    per-bw means, stds and bw-centred data of the whole matrix on the
-    driver, centres each series' means on its first basic-window mean,
-    lays out the tiles with ``tile_layout`` over blocks of
-    ``block_size`` consecutive series and ``defaultParallelism``, and
-    builds them in one ``mapInPandas`` stage over
-    ``spark.range(0, T, 1, T)``: partition t holds tile id t alone, so
-    the stage needs no shuffle. Each task slices its tile's global rows
-    and columns from the three arrays in the task closure, which PySpark
-    ships as a broadcast once it passes 1 MiB; they cross to the workers
-    once, Θ(N·L) bytes.
+    Rejects a non-finite value (``require_finite``), lays out the tiles
+    with ``tile_layout`` over blocks of ``block_size`` consecutive
+    series and ``defaultParallelism``, and builds them in one
+    ``mapInPandas`` stage over ``spark.range(0, T, 1, T)``: partition t
+    holds tile id t alone, so the stage needs no shuffle. X travels in
+    the task closure, which PySpark ships as a broadcast once it passes
+    1 MiB: it crosses to the workers once, Θ(N·L) bytes. Each task makes
+    its tile with ``matrix_tile`` from its global rows and columns of X.
 
     The tile holds everything Eq.-1 evaluation needs: its basic-window
     size, global series ids and per-bw means/stds of its i rows and j
@@ -178,24 +198,12 @@ def build_pair_sketch(
     ``tile_path(directory, tid)`` (``write_tile_q``); the payload names
     that file. ``directory`` must exist and is owned by the caller
     (``harness.build_sketch`` hands its handle's, the traced shim one
-    from ``new_sketch_dir``). The centred raw data is *not* carried
-    forward — after this stage every engine works purely from sketch
-    statistics, as the paper's framework prescribes.
-
-    Eq. 1 and the window variances are invariant under a per-series
-    shift, but their sums of squared means cancel catastrophically when
-    a series sits far from 0: with raw means, adding 1e7 to the series
-    of a climate-like panel moved correlations by up to 7.9e-2.
-    Subtracting each series' first basic-window mean leaves q and the
-    stds as they are and bounds that error by the rounding of the input
-    itself.
+    from ``new_sketch_dir``). The raw data is *not* carried forward —
+    after this stage every engine works purely from sketch statistics,
+    as the paper's framework prescribes.
     """
     require_finite(X)
-    means, stds = kernels.bw_means_stds(X, bw)
-    means = means - means[:, :1]
-    centred = kernels.bw_centered(X, bw)
     n = X.shape[0]
-    ids = np.arange(n, dtype=np.int64)
     layout = tile_layout(
         {b: min(block_size, n - lo) for b, lo in enumerate(range(0, n, block_size))},
         spark.sparkContext.defaultParallelism,
@@ -210,16 +218,10 @@ def build_pair_sketch(
                 # a diagonal band pairs its rows only with later series
                 first = rows.start if bi == bj else bj * block_size
                 cols = slice(first, min((bj + 1) * block_size, n))
-                q = kernels.pair_bw_cov(centred[rows], centred[cols])
+                tile = matrix_tile(X, bw, rows, cols)
+                q = tile.pop("q")
                 payload = pickle.dumps(
-                    {
-                        "bw": bw,
-                        "ids_i": ids[rows],
-                        "ids_j": ids[cols],
-                        "means_i": means[rows],
-                        "stds_i": stds[rows],
-                        "means_j": means[cols],
-                        "stds_j": stds[cols],
+                    tile | {
                         "tid": tid,
                         "q_path": tile_path(directory, tid),
                         "q_dtype": q.dtype,

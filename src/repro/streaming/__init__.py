@@ -11,5 +11,5 @@ tile's own layout and persists them as one ``.npz`` file.
 - ``sketch_stream`` — the store and the Structured Streaming
   ``foreachBatch`` upsert that feeds it;
 - ``query``        — serving correlation queries straight from the
-  store, including running Dangoron on it.
+  store's tile (``pair_sketch.matrix_tile``'s format), Dangoron included.
 """

@@ -1,10 +1,11 @@
 """Serving sliding correlation queries from the streaming sketch store.
 
 The store's mergeable sums are held in the tile's own layout, so a few
-array operations turn them into one in-memory tile (the structure the
-block-pair engines consume). Both the exact evaluator and Dangoron's
-frontier run unchanged on streamed state — construction *and* updates
-share one query path.
+array operations turn them into one in-memory tile in the format of
+``pair_sketch.matrix_tile`` (the structure the block-pair engines
+consume). Both the exact evaluator and Dangoron's frontier run
+unchanged on streamed state — construction *and* updates share one
+query path.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ from repro.tsio.validation import SlidingSpec
 
 def store_to_tile(store: SketchStore) -> dict:
     """Assemble the store into a single (diagonal) sketch tile.
+
+    Its means are centred as ``pair_sketch.matrix_tile`` centres them; q
+    and the stds still come from raw one-pass sums, which cancel when a
+    series sits far from 0.
 
     Requires a dense store: every series has every basic window and each
     basic window is full (``bw`` timesteps); the pair sums then cover
@@ -53,16 +58,9 @@ def store_to_tile(store: SketchStore) -> dict:
     var = np.where(var > 64 * np.finfo(np.float64).eps * ex2, var, 0.0)
     q[d, d] = var
     stds = np.sqrt(var)
-    return {
-        "bw": store.bw,
-        "ids_i": ids,
-        "ids_j": ids,
-        "means_i": means,
-        "stds_i": stds,
-        "means_j": means,
-        "stds_j": stds,
-        "q": q,
-    }
+    centred = means - means[:, :1]
+    return {"bw": store.bw, "ids_i": ids, "ids_j": ids, "means_i": centred,
+            "stds_i": stds, "means_j": centred, "stds_j": stds, "q": q}
 
 
 def query_dangoron(

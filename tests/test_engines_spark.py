@@ -15,7 +15,7 @@ from repro.core import dangoron, horizontal
 from repro.core.jumping import FrontierStats, frontier_query, sweep
 from repro.harness import build_sketch
 from repro.sketch import kernels
-from repro.sketch.pair_sketch import load_pair_payload
+from repro.sketch.pair_sketch import load_pair_payload, matrix_tile
 from repro.synth_data import uscrn_like
 from repro.tsio.validation import SlidingSpec
 
@@ -178,16 +178,8 @@ class TestHorizontal:
 
 
 def whole_tile(X) -> dict:
-    """The unbanded tile of one block of every series, built as the sketch
-    builds it: its means centred on each series' first basic window."""
-    means, stds = kernels.bw_means_stds(X, SPEC.bw)
-    means = means - means[:, :1]
-    xc = kernels.bw_centered(X, SPEC.bw)
-    ids = np.arange(N, dtype=np.int64)
-    return {
-        "bw": SPEC.bw, "ids_i": ids, "ids_j": ids, "means_i": means, "stds_i": stds,
-        "means_j": means, "stds_j": stds, "q": kernels.pair_bw_cov(xc, xc),
-    }
+    """The unbanded tile of one block of every series."""
+    return matrix_tile(X, SPEC.bw, slice(None), slice(None))
 
 
 class TestBandedSketch:

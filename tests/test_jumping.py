@@ -7,7 +7,7 @@ from repro.baselines.tsubasa import eval_tile_full
 from repro.core import bounds
 from repro.core.jumping import frontier_query, slack_rows, sweep
 from repro.sketch import kernels
-from repro.sketch.pair_sketch import pair_tile_arrays
+from repro.sketch.pair_sketch import matrix_tile, pair_tile_arrays
 from repro.synth_data import ar1_matrix, uscrn_like
 from repro.tomborg.generator import generate_drifting
 from repro.tomborg.distributions import sample_target
@@ -16,20 +16,8 @@ from tests.test_bounds import ci_prefix, temporal_upper_bound, worst_case_upper_
 
 
 def make_tile(X, spec):
-    means, stds = kernels.bw_means_stds(X, spec.bw)
-    xc = kernels.bw_centered(X, spec.bw)
-    q = kernels.pair_bw_cov(xc, xc)
-    n = X.shape[0]
-    return {
-        "bw": spec.bw,
-        "ids_i": np.arange(n, dtype=np.int64),
-        "ids_j": np.arange(n, dtype=np.int64),
-        "means_i": means,
-        "stds_i": stds,
-        "means_j": means,
-        "stds_j": stds,
-        "q": q,
-    }
+    """The unbanded diagonal tile of every series."""
+    return matrix_tile(X, spec.bw, slice(None), slice(None))
 
 
 def exact_edges(X, spec):
@@ -151,17 +139,7 @@ class TestSpecMustFitTheSketch:
 
 def make_cross_tile(X, split, spec):
     """Off-diagonal tile of series [0, split) against [split, N)."""
-    mi, si = kernels.bw_means_stds(X[:split], spec.bw)
-    mj, sj = kernels.bw_means_stds(X[split:], spec.bw)
-    return {
-        "bw": spec.bw,
-        "ids_i": np.arange(split, dtype=np.int64),
-        "ids_j": np.arange(split, X.shape[0], dtype=np.int64),
-        "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj,
-        "q": kernels.pair_bw_cov(
-            kernels.bw_centered(X[:split], spec.bw), kernels.bw_centered(X[split:], spec.bw)
-        ),
-    }
+    return matrix_tile(X, spec.bw, slice(None, split), slice(split, None))
 
 
 class TestOffDiagonalTile:
@@ -322,13 +300,7 @@ def assert_sweep_walks(tile, spec, mode):
 
 def make_band(X, lo, hi, spec):
     """Rows [lo, hi) of a diagonal tile, paired with the series from lo on."""
-    tile = make_tile(X, spec)
-    return {
-        "bw": spec.bw, "ids_i": tile["ids_i"][lo:hi], "ids_j": tile["ids_j"][lo:],
-        "means_i": tile["means_i"][lo:hi], "stds_i": tile["stds_i"][lo:hi],
-        "means_j": tile["means_j"][lo:], "stds_j": tile["stds_j"][lo:],
-        "q": tile["q"][lo:hi, lo:],
-    }
+    return matrix_tile(X, spec.bw, slice(lo, hi), slice(lo, None))
 
 
 def dyadic_tile(n, n_bw, seed):

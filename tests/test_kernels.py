@@ -3,16 +3,12 @@ import numpy as np
 import pytest
 
 from repro.sketch import kernels
+from repro.sketch.pair_sketch import matrix_tile
 from repro.synth_data import ar1_matrix, uscrn_like
 from repro.tsio.validation import SlidingSpec
 
 
-def build_all(X, spec):
-    means, stds = kernels.bw_means_stds(X, spec.bw)
-    xc = kernels.bw_centered(X, spec.bw)
-    q = kernels.pair_bw_cov(xc, xc)
-    mbar, ss = kernels.series_window_aggregates(means, stds, spec)
-    return means, stds, q, mbar, ss
+ALL = slice(None)
 
 
 class TestBwStats:
@@ -74,6 +70,12 @@ class TestSlidingSums:
         assert got.shape == (4, 5, spec.n_windows)
         np.testing.assert_allclose(got[2, 3], kernels.sliding_window_sums(arr[2, 3][None, :], spec)[0])
 
+    def test_window_past_the_data_rejected(self):
+        # the last of 35 windows ends at basic window 40 of 30
+        spec = SlidingSpec(start=0, end=480, window=72, step=12, beta=0.0, bw=12)
+        with pytest.raises(ValueError):
+            kernels.sliding_window_sums(np.zeros((3, 30)), spec)
+
 
 CONFIGS = [
     dict(start=0, end=240, window=48, step=12, bw=12),
@@ -85,22 +87,21 @@ CONFIGS = [
 ]
 
 
-def eval_every_cell(Xi, Xj, spec):
-    """(ni, nj, W) correlations of a block pair, one ``eval_at_window`` call per window.
+def eval_every_cell(X, spec, rows=ALL, cols=ALL):
+    """(ni, nj, W) correlations of X's series ``rows`` against ``cols``,
+    one ``eval_at_window`` call per window.
 
     The terms cover every pair row, and each call sums a view of them for
     every pair (``slice(None)``), as TSUBASA's sweep does.
     """
-    mi, si = kernels.bw_means_stds(Xi, spec.bw)
-    mj, sj = kernels.bw_means_stds(Xj, spec.bw)
-    q = kernels.pair_bw_cov(kernels.bw_centered(Xi, spec.bw), kernels.bw_centered(Xj, spec.bw))
-    tile = {"bw": spec.bw, "means_i": mi, "stds_i": si, "means_j": mj, "stds_j": sj, "q": q}
-    terms = kernels.tile_terms(tile, spec, np.arange(len(Xi) * len(Xj)))
+    tile = matrix_tile(X, spec.bw, rows, cols)
+    ni, nj, _ = tile["q"].shape
+    terms = kernels.tile_terms(tile, spec, np.arange(ni * nj))
     corr = np.stack(
         [kernels.eval_at_window(terms, slice(None), w, spec) for w in range(spec.n_windows)],
         axis=1,
     )
-    return corr.reshape(len(Xi), len(Xj), spec.n_windows)
+    return corr.reshape(ni, nj, spec.n_windows)
 
 
 class TestEq1Exactness:
@@ -111,14 +112,14 @@ class TestEq1Exactness:
     def test_eval_all_windows_equals_corrcoef(self, cfg, seed):
         X = ar1_matrix(n=6, length=240, seed=seed)
         spec = SlidingSpec(beta=0.0, **cfg)
-        corr = eval_every_cell(X, X, spec)
+        corr = eval_every_cell(X, spec)
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref, atol=1e-10)
 
     def test_on_climate_like_data(self):
         X = uscrn_like(n_stations=4, n_hours=480, seed=0)
         spec = SlidingSpec(start=0, end=480, window=96, step=24, beta=0.0, bw=24)
-        corr = eval_every_cell(X, X, spec)
+        corr = eval_every_cell(X, spec)
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref, atol=1e-9)
 
@@ -126,7 +127,7 @@ class TestEq1Exactness:
         X = ar1_matrix(n=3, length=120, seed=0)
         X[1] = 7.0  # constant: correlation undefined
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        corr = eval_every_cell(X, X, spec)
+        corr = eval_every_cell(X, spec)
         assert np.isnan(corr[1, 0]).all() and np.isnan(corr[0, 1]).all()
         assert not np.isnan(corr[0, 2]).any()
 
@@ -135,14 +136,14 @@ class TestEq1Exactness:
         base = rng.normal(size=120)
         X = np.stack([base, 2.0 * base + 5.0, -base])
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        corr = eval_every_cell(X, X, spec)
+        corr = eval_every_cell(X, spec)
         np.testing.assert_allclose(corr[0, 1], 1.0, atol=1e-10)
         np.testing.assert_allclose(corr[0, 2], -1.0, atol=1e-10)
 
     def test_cross_block_evaluation(self):
         X = ar1_matrix(n=7, length=240, seed=5)
         spec = SlidingSpec(start=0, end=240, window=48, step=24, beta=0.0, bw=12)
-        corr = eval_every_cell(X[:3], X[3:], spec)
+        corr = eval_every_cell(X, spec, slice(None, 3), slice(3, None))
         ref = kernels.exact_window_corr(X, spec)
         np.testing.assert_allclose(corr, ref[:3, 3:, :], atol=1e-10)
 
@@ -154,8 +155,7 @@ class TestEvalAtWindow:
     def test_matches_eval_all_windows(self, cfg):
         X = ar1_matrix(n=6, length=240, seed=8)
         spec = SlidingSpec(beta=0.0, **cfg)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = matrix_tile(X, spec.bw, ALL, ALL)
         rows = np.arange(36)
         terms = kernels.tile_terms(tile, spec, rows)
         ref = kernels.exact_window_corr(X, spec)
@@ -167,8 +167,7 @@ class TestEvalAtWindow:
     def test_row_subset(self):
         X = ar1_matrix(n=5, length=120, seed=9)
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = matrix_tile(X, spec.bw, ALL, ALL)
         terms = kernels.tile_terms(tile, spec, np.arange(25))
         sub = np.array([1, 7, 23])  # positions, here equal to the flat rows
         got = kernels.eval_at_window(terms, sub, 3, spec)
@@ -202,14 +201,14 @@ class TestTileTerms:
     def test_kept_pairs_only(self):
         X = ar1_matrix(n=5, length=120, seed=12)
         spec = SlidingSpec(start=0, end=120, window=24, step=12, beta=0.0, bw=12)
-        means, stds, q, mbar, ss = build_all(X, spec)
-        tile = {"bw": spec.bw, "means_i": means, "stds_i": stds, "means_j": means, "stds_j": stds, "q": q}
+        tile = matrix_tile(X, spec.bw, ALL, ALL)
         rows = np.array([1, 2, 8, 14, 19])  # (0,1) (0,2) (1,3) (2,4) (3,4)
         terms = kernels.tile_terms(tile, spec, rows)
-        assert terms.g.shape == (5, q.shape[2])
+        assert terms.g.shape == (5, tile["q"].shape[2])
         np.testing.assert_array_equal(terms.pi, [0, 0, 1, 2, 3])
         np.testing.assert_array_equal(terms.pj, [1, 2, 3, 4, 4])
         assert terms.mbar_i.shape == (spec.n_windows, 5) and terms.ss_j.flags.c_contiguous
+        mbar, _ = kernels.series_window_aggregates(tile["means_i"], tile["stds_i"], spec)
         np.testing.assert_array_equal(terms.mbar_i, mbar.T)
         ref = kernels.exact_window_corr(X, spec)
         for w in range(spec.n_windows):

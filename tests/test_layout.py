@@ -17,6 +17,9 @@ the way to the sketch: the sketch build takes the matrix on the driver
 and ships it in the task closure, and long-form input is read into a
 matrix there by ``tsio.matrix.from_long_pdf``.
 
+Tiles have one recipe: only ``pair_sketch.matrix_tile`` calls the
+kernels that derive a tile's statistics from a matrix.
+
 Tile files have one owner: only ``sketch/pair_sketch.py`` writes a
 tile's q (``np.save(``) and maps it (``mmap_mode``), so the atomic
 write and the manifest check stay in one place.
@@ -77,6 +80,13 @@ def test_one_long_form_reader(attr, allowed):
     holes, duplicates, negative ids or t and non-finite values are
     checked in one place; a second scatter or duplicate check fails here."""
     assert owners(attr) == allowed
+
+
+@pytest.mark.parametrize("attr", ["bw_means_stds", "bw_centered", "pair_bw_cov"])
+def test_one_tile_recipe(attr):
+    """Every sketch tile is made from a matrix by ``matrix_tile``, so the
+    tile format and the centring of its means are decided in one place."""
+    assert owners(attr) == ["sketch/pair_sketch.py:matrix_tile"]
 
 
 @pytest.mark.parametrize("text", ["np.save(", "mmap_mode"])

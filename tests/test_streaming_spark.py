@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.baselines import tsubasa
 from repro.core import jumping
 from repro.harness import build_sketch
-from repro.sketch import kernels
+from repro.sketch.pair_sketch import matrix_tile
 from repro.streaming.query import query_dangoron, store_to_tile
 from repro.streaming.sketch_stream import SketchStore, run_stream
 from repro.synth_data import ar1_matrix
@@ -20,6 +20,7 @@ from repro.tsio.validation import SlidingSpec
 
 N, L = 8, 480
 SPEC = SlidingSpec(start=0, end=L, window=96, step=24, beta=0.4, bw=24)
+ALL = slice(None)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +61,7 @@ class TestForeachBatchStore:
             )
 
     def test_pair_store_matches_numpy(self, store, X):
-        xc = kernels.bw_centered(X, SPEC.bw)
-        q = kernels.pair_bw_cov(xc, xc)
+        q = matrix_tile(X, SPEC.bw, ALL, ALL)["q"]
         pdf = store.pair_sketch()
         assert len(pdf) == (N * (N - 1) // 2) * (L // SPEC.bw)
         for r in pdf.itertuples():
@@ -122,20 +122,15 @@ class TestForeachBatchStore:
 
 
 class TestBatchingInvariance:
-    """A streamed store equals a batch-built one, whatever the batching."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, X, tmp_path_factory):
-        store = SketchStore(str(tmp_path_factory.mktemp("one-batch")), bw=SPEC.bw)
-        store.apply_batch(to_long_pdf(X))
-        return store_to_tile(store)
+    """A streamed store's tile equals the batch tile of ``matrix_tile``,
+    whatever the batching."""
 
     @given(
         cuts=st.lists(st.integers(1, L - 1), max_size=12, unique=True),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_any_split_and_order(self, X, tmp_path_factory, reference, cuts, data):
+    def test_any_split_and_order(self, X, tmp_path_factory, cuts, data):
         pdf = to_long_pdf(X)
         bounds = [0, *sorted(cuts), L]
         parts = [pdf[(pdf["t"] >= lo) & (pdf["t"] < hi)] for lo, hi in zip(bounds, bounds[1:])]
@@ -143,12 +138,10 @@ class TestBatchingInvariance:
         for k in data.draw(st.permutations(range(len(parts)))):
             store.apply_batch(parts[k])
         tile = store_to_tile(store)
-        means, stds = kernels.bw_means_stds(X, SPEC.bw)
-        xc = kernels.bw_centered(X, SPEC.bw)
-        for key, want in (("means_i", means), ("stds_i", stds),
-                          ("q", kernels.pair_bw_cov(xc, xc))):
-            np.testing.assert_allclose(tile[key], reference[key], rtol=0, atol=1e-9)
-            np.testing.assert_allclose(tile[key], want, rtol=0, atol=1e-9)
+        batch = matrix_tile(X, SPEC.bw, ALL, ALL)
+        assert tile.keys() == batch.keys()
+        for key, want in batch.items():
+            np.testing.assert_allclose(tile[key], want, rtol=0, atol=1e-9, err_msg=key)
 
 
 class TestStoreAssembly:
@@ -157,9 +150,9 @@ class TestStoreAssembly:
         store = SketchStore(str(root), bw=SPEC.bw)
         store.apply_batch(to_long_pdf(X))
         tile = store_to_tile(store)
-        means, stds = kernels.bw_means_stds(X, SPEC.bw)
-        np.testing.assert_allclose(tile["means_i"], means, atol=1e-9)
-        np.testing.assert_allclose(tile["stds_i"], stds, atol=1e-9)
+        batch = matrix_tile(X, SPEC.bw, ALL, ALL)
+        np.testing.assert_allclose(tile["means_i"], batch["means_i"], atol=1e-9)
+        np.testing.assert_allclose(tile["stds_i"], batch["stds_i"], atol=1e-9)
 
     def test_save_load(self, X, tmp_path_factory):
         root = tmp_path_factory.mktemp("persist")
@@ -227,10 +220,10 @@ class TestStoreAssembly:
                 np.testing.assert_array_equal(a, b)
         # the missing timesteps still complete the store
         store.apply_batch(pdf[(pdf["t"] >= 24) & (pdf["t"] < 30)])
-        means, stds = kernels.bw_means_stds(X, SPEC.bw)
+        batch = matrix_tile(X, SPEC.bw, ALL, ALL)
         tile = store_to_tile(store)
-        np.testing.assert_allclose(tile["means_i"], means, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tile["stds_i"], stds, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tile["means_i"], batch["means_i"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tile["stds_i"], batch["stds_i"], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_constant_series_gets_the_batch_edges(self, spark, tmp_path_factory, beta):
